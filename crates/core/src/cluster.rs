@@ -35,7 +35,7 @@ use crate::gthv::{GthvDef, GthvInstance};
 use crate::home::{HomeConfig, HomeError, HomeRunOutcome, HomeShard};
 use crate::ids::{BarrierId, CondId, LockId, ShardId};
 use crate::placement::{PlacementInputs, PlacementPolicy};
-use crate::protocol::DsdMsg;
+use crate::protocol::{DsdMsg, Frame};
 use crate::tenant::{ResidualReport, SessionSpec, TenantSpace};
 use crate::update::{apply_batch, extract_updates, full_ranges};
 use hdsm_migthread::compute::{Computation, ProgramRegistry, StepStatus};
@@ -325,7 +325,7 @@ impl ClusterCtl {
     pub fn handoff(&mut self, shard: ShardId) -> Result<(), ClusterError> {
         let s = shard.raw();
         let dst = self.directory.shard_ep(s);
-        let req = DsdMsg::HandoffRequest { shard: s }.encode_enveloped(0);
+        let req = DsdMsg::HandoffRequest { shard: s }.encode_frame(0, None);
         let deadline = self.clock.now() + Duration::from_secs(30);
         let mut next_send = self.clock.now();
         loop {
@@ -351,8 +351,10 @@ impl ClusterCtl {
             }
             match self.ep.recv_timeout(Duration::from_millis(50)) {
                 Ok(m) if m.kind == MsgKind::HandoffDone => {
-                    if let Ok((_, DsdMsg::HandoffDone { shard: hs, .. })) =
-                        DsdMsg::decode_enveloped(m.kind, m.payload)
+                    if let Ok(Frame {
+                        msg: DsdMsg::HandoffDone { shard: hs, .. },
+                        ..
+                    }) = DsdMsg::decode_frame(m.kind, m.payload, self.directory.n_replicas() > 0)
                     {
                         if hs == s {
                             return Ok(());
@@ -404,7 +406,7 @@ impl ClusterCtl {
             entry,
             to_shard: s_to,
         }
-        .encode_enveloped(0);
+        .encode_frame(0, None);
         // Offer to both of the source shard's endpoints: the mute shadow
         // drops it, a retired primary is Disconnected, the serving
         // instance (original or promoted) acts on it.
@@ -447,8 +449,10 @@ impl ClusterCtl {
             }
             match self.ep.recv_timeout(Duration::from_millis(50)) {
                 Ok(m) if m.kind == MsgKind::EntryDone => {
-                    if let Ok((_, DsdMsg::EntryDone { entry: e, to_shard })) =
-                        DsdMsg::decode_enveloped(m.kind, m.payload)
+                    if let Ok(Frame {
+                        msg: DsdMsg::EntryDone { entry: e, to_shard },
+                        ..
+                    }) = DsdMsg::decode_frame(m.kind, m.payload, self.directory.n_replicas() > 0)
                     {
                         if e == entry && to_shard == s_to {
                             return Ok(());
@@ -493,23 +497,16 @@ pub struct TopologyConfig {
     /// virtual clock, making the whole run an exactly reproducible
     /// function of `(workload, config, seed)`.
     pub fabric: FabricMode,
-    /// Hot-path implementation selection for every node (default `true`:
-    /// compiled conversion plans, the grouped v2 wire format and the
-    /// parallel diff scan). `false` forces the original tag-interpreting
-    /// slow paths — the differential suite runs both and requires
-    /// byte-identical final state.
-    pub fast_path: bool,
 }
 
 impl Default for TopologyConfig {
-    /// One unreplicated shard on the threaded fabric with the hot paths
-    /// on — the classic single-home layout.
+    /// One unreplicated shard on the threaded fabric — the classic
+    /// single-home layout.
     fn default() -> TopologyConfig {
         TopologyConfig {
             shards: 1,
             replicas: 0,
             fabric: FabricMode::Threads,
-            fast_path: true,
         }
     }
 }
@@ -584,7 +581,6 @@ pub struct ClusterBuilder {
     max_retries: Option<u32>,
     retry_base: Option<Duration>,
     recorder: Recorder,
-    fast_path: bool,
     fabric: FabricMode,
     sessions: Vec<SessionSpec>,
     placement: PlacementPolicy,
@@ -620,7 +616,6 @@ impl ClusterBuilder {
             max_retries: None,
             retry_base: None,
             recorder: Recorder::disabled(),
-            fast_path: true,
             fabric: FabricMode::Threads,
             sessions: Vec::new(),
             placement: PlacementPolicy::Static,
@@ -644,13 +639,12 @@ impl ClusterBuilder {
         self
     }
 
-    /// Set the cluster shape — shards, replicas, fabric and hot-path
-    /// selection — in one typed call.
+    /// Set the cluster shape — shards, replicas and fabric — in one typed
+    /// call.
     pub fn topology(mut self, t: TopologyConfig) -> Self {
         self.shards = t.shards;
         self.replicas = t.replicas;
         self.fabric = t.fabric;
-        self.fast_path = t.fast_path;
         self
     }
 
@@ -890,7 +884,8 @@ impl ClusterBuilder {
         };
         if let Some(sim) = net.sim() {
             // Obs timestamps ride the virtual clock too, so snapshots of
-            // same-seed runs compare byte-for-byte.
+            // same-seed runs compare byte-for-byte. The fabric's deadlock
+            // hook holds the recorder only weakly, so this closes no cycle.
             let f = sim.clone();
             self.recorder
                 .set_time_source(std::sync::Arc::new(move || f.now_us()));
@@ -1007,7 +1002,6 @@ impl ClusterBuilder {
                     lease: self.lease,
                     linger,
                     recorder: self.recorder.clone(),
-                    fast_path: self.fast_path,
                     shard: s,
                     directory,
                     replica_ep: (!is_replica && self.replicas > 0).then(|| directory.replica_ep(s)),
@@ -1040,7 +1034,6 @@ impl ClusterBuilder {
         let deadline = self.recv_deadline;
         let max_retries = self.max_retries;
         let retry_base_opt = self.retry_base;
-        let fast_path = self.fast_path;
         let mut first_error: Option<ClusterError> = None;
         let mut home_error: Option<ClusterError> = None;
         let mut worker_errors: Vec<(usize, DsdError)> = Vec::new();
@@ -1148,12 +1141,8 @@ impl ClusterBuilder {
                                     let rank = i as u32 + 1;
                                     let src = directory.worker_ep(rank);
                                     for dst in directory.home_eps() {
-                                        let payload = if replicated {
-                                            DsdMsg::Heartbeat { rank }
-                                                .encode_enveloped_epoch(0, 0, false)
-                                        } else {
-                                            DsdMsg::Heartbeat { rank }.encode_enveloped(0)
-                                        };
+                                        let payload = DsdMsg::Heartbeat { rank }
+                                            .encode_frame(0, replicated.then_some(0));
                                         let _ = net.send_as(src, dst, MsgKind::Heartbeat, payload);
                                     }
                                 }
@@ -1338,7 +1327,6 @@ impl ClusterBuilder {
                     let mut client = DsdClient::new(i as u32 + 1, ep, 0, gthv);
                     client.set_directory(directory);
                     client.set_recorder(recorder.clone());
-                    client.set_fast_path(fast_path);
                     if let Some(d) = deadline {
                         client.set_recv_deadline(d);
                     }

@@ -27,16 +27,16 @@
 use crate::costs::CostBreakdown;
 use crate::directory::Directory;
 use crate::gthv::GthvInstance;
-use crate::protocol::{DsdMsg, ProtocolError};
+use crate::protocol::{DsdMsg, Frame, ProtocolError};
 use crate::runs::{coalesce, UpdateRange};
-use crate::update::{apply_batch_mode, extract_updates, full_ranges, UpdateError};
+use crate::update::{apply_batch, extract_updates, full_ranges, UpdateError};
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use hdsm_net::endpoint::{Endpoint, NetError};
 use hdsm_net::message::{Message, MsgKind};
 use hdsm_net::{FabricClock, FabricInstant};
 use hdsm_obs::{EventKind, OpCtx, OpKind, Recorder};
 use hdsm_tags::convert::ConversionStats;
-use hdsm_tags::wire::{pack_batch, unpack_batch};
+use hdsm_tags::wire::{pack_batch_fast, unpack_batch};
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::fmt;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -70,10 +70,6 @@ pub struct HomeConfig {
     /// Observability hook for home-side spans (absorb/extract timing,
     /// lease expiries). Disabled by default.
     pub recorder: Recorder,
-    /// Use the compiled-plan apply path and the grouped v2 wire format
-    /// (default). The differential suite turns this off to compare against
-    /// the original slow paths.
-    pub fast_path: bool,
     /// Which shard of the home service this instance is (`0..S`).
     pub shard: u32,
     /// The deterministic entry/lock/barrier → shard partition shared by
@@ -114,7 +110,6 @@ impl Default for HomeConfig {
             lease: None,
             linger: Duration::ZERO,
             recorder: Recorder::disabled(),
-            fast_path: true,
             shard: 0,
             directory: Directory::single(),
             replica_ep: None,
@@ -291,7 +286,6 @@ pub struct HomeShard {
     costs: CostBreakdown,
     conv_stats: ConversionStats,
     recorder: Recorder,
-    fast_path: bool,
     /// The sync operation each thread's outstanding request is doing work
     /// for (from the request's trace context), so replies — including
     /// deferred grants and barrier releases — and home-side spans are
@@ -390,7 +384,6 @@ impl HomeShard {
             costs: CostBreakdown::default(),
             conv_stats: ConversionStats::default(),
             recorder: config.recorder,
-            fast_path: config.fast_path,
             op_ctx: HashMap::new(),
             role: if config.primary_ep.is_some() {
                 Role::Replica
@@ -501,12 +494,7 @@ impl HomeShard {
                 updates.iter().map(|u| u.data.len() as u64).sum(),
             );
             span.op(self.op_of(writer));
-            apply_batch_mode(
-                &mut self.gthv,
-                updates,
-                &mut self.conv_stats,
-                self.fast_path,
-            )?;
+            apply_batch(&mut self.gthv, updates, &mut self.conv_stats)?;
         }
         self.costs.t_conv += t0.elapsed();
         self.costs.updates_applied += updates.len() as u64;
@@ -617,7 +605,7 @@ impl HomeShard {
             .ok_or_else(|| HomeError::Violation(format!("no route for thread {rank}")))?;
         let req_id = self.last_req.get(&rank).copied().unwrap_or(0);
         let t0 = Instant::now();
-        let payload = msg.encode_enveloped_mode(req_id, self.fast_path);
+        let payload = msg.encode_frame(req_id, None);
         self.costs.t_pack += t0.elapsed();
         self.reply_cache
             .insert(rank, (req_id, msg.kind(), payload.clone()));
@@ -734,7 +722,7 @@ impl HomeShard {
             return Ok(());
         };
         let req_id = self.last_req.get(&rank).copied().unwrap_or(0);
-        let payload = DsdMsg::Shutdown.encode_enveloped_mode(req_id, self.fast_path);
+        let payload = DsdMsg::Shutdown.encode_frame(req_id, None);
         match self.net_send(ep_rank, MsgKind::Shutdown, payload, OpCtx::default()) {
             Err(NetError::Disconnected(_)) => Ok(()),
             other => Ok(other?),
@@ -917,91 +905,25 @@ impl HomeShard {
                 self.peer_last_heard = self.clock.now();
                 return Ok(());
             }
-            MsgKind::Depose => {
-                let (_, m) = DsdMsg::decode_enveloped(msg.kind, msg.payload)?;
-                if let DsdMsg::Depose { shard, epoch } = m {
-                    if shard == self.shard && !self.fenced {
-                        self.fence();
-                    }
-                    let ack = DsdMsg::DeposeAck { shard, epoch }.encode_enveloped(0);
-                    match self.net_send(msg.src, MsgKind::DeposeAck, ack, OpCtx::default()) {
-                        Err(NetError::Disconnected(_)) => {}
-                        other => other?,
-                    }
-                }
-                return Ok(());
-            }
             MsgKind::DeposeAck => {
                 self.peer_last_heard = self.clock.now();
                 self.pending_depose = false;
                 return Ok(());
             }
-            MsgKind::HandoffRequest => {
-                let (_, m) = DsdMsg::decode_enveloped(msg.kind, msg.payload)?;
-                if let DsdMsg::HandoffRequest { shard } = m {
-                    if shard == self.shard {
-                        self.start_handoff(msg.src)?;
-                    }
-                }
-                return Ok(());
-            }
-            MsgKind::HandoffState => {
-                let (_, m) = DsdMsg::decode_enveloped(msg.kind, msg.payload)?;
-                if let DsdMsg::HandoffState {
-                    shard,
-                    epoch,
-                    state,
-                } = m
-                {
-                    if shard == self.shard {
-                        self.on_handoff_state(msg.src, epoch, state)?;
-                    }
-                }
-                return Ok(());
-            }
-            MsgKind::HandoffInstalled => {
-                let (_, m) = DsdMsg::decode_enveloped(msg.kind, msg.payload)?;
-                if let DsdMsg::HandoffInstalled { shard, epoch } = m {
-                    if shard == self.shard {
-                        self.peer_last_heard = self.clock.now();
-                        self.finish_handoff(epoch)?;
-                    }
-                }
-                return Ok(());
-            }
-            MsgKind::EntryHandoff => {
-                let (_, m) = DsdMsg::decode_enveloped(msg.kind, msg.payload)?;
-                if let DsdMsg::EntryHandoff { entry, to_shard } = m {
-                    self.on_entry_handoff(msg.src, entry, to_shard)?;
-                }
-                return Ok(());
-            }
-            MsgKind::EntryState => {
-                let (_, m) = DsdMsg::decode_enveloped(msg.kind, msg.payload)?;
-                if let DsdMsg::EntryState {
-                    entry,
-                    epoch,
-                    state,
-                } = m
-                {
-                    self.on_entry_state(msg.src, entry, epoch, state)?;
-                }
-                return Ok(());
-            }
-            MsgKind::EntryInstalled => {
-                let (_, m) = DsdMsg::decode_enveloped(msg.kind, msg.payload)?;
-                if let DsdMsg::EntryInstalled { entry, epoch } = m {
-                    self.on_entry_installed(entry, epoch)?;
-                }
-                return Ok(());
-            }
-            MsgKind::EntryDone => return Ok(()),
-            MsgKind::ViewChange => {
-                // Only another home bounces us a `ViewChange` (an
-                // `EntryState` offer that hit a fenced endpoint). The
-                // idle-tick retransmit keeps offering to both endpoints
-                // until the promoted one installs; nothing to do here.
-                return Ok(());
+            // Only another home bounces us a `ViewChange` (an `EntryState`
+            // offer that hit a fenced endpoint). The idle-tick retransmit
+            // keeps offering to both endpoints until the promoted one
+            // installs; nothing to do here.
+            MsgKind::EntryDone | MsgKind::ViewChange => return Ok(()),
+            MsgKind::Depose
+            | MsgKind::HandoffRequest
+            | MsgKind::HandoffState
+            | MsgKind::HandoffInstalled
+            | MsgKind::EntryHandoff
+            | MsgKind::EntryState
+            | MsgKind::EntryInstalled => {
+                let m = DsdMsg::decode_frame(msg.kind, msg.payload, self.replicated())?.msg;
+                return self.on_control(msg.src, m);
             }
             _ => {}
         }
@@ -1016,21 +938,16 @@ impl HomeShard {
         }
         // Client path. With replication on, client requests carry an
         // epoch stamp after the request id.
-        let epoch_wire = self.replicated() && DsdMsg::epoch_stamped(msg.kind);
         let t0 = Instant::now();
-        let (req_id, stamp, decoded) = {
+        let frame = {
             let mut span = self.recorder.span(self.ep.rank(), EventKind::Unpack);
             span.args(msg.payload.len() as u64, msg.src as u64);
             span.op(op);
-            if epoch_wire {
-                let (r, e, d) = DsdMsg::decode_enveloped_epoch(msg.kind, msg.payload.clone())?;
-                (r, e, d)
-            } else {
-                let (r, d) = DsdMsg::decode_enveloped(msg.kind, msg.payload.clone())?;
-                (r, self.epoch, d)
-            }
+            DsdMsg::decode_frame(msg.kind, msg.payload.clone(), self.replicated())?
         };
         self.costs.t_unpack += t0.elapsed();
+        let (req_id, stamped) = (frame.req_id, frame.epoch.is_some());
+        let stamp = frame.epoch.unwrap_or(self.epoch);
         if self.role == Role::Replica && !self.promoted {
             // A shadow never answers clients: its state evolves through
             // the relay stream only. The client retransmits; once this
@@ -1049,9 +966,44 @@ impl HomeShard {
         if self.role == Role::Primary && self.replica_ep.is_some() && !self.replica_gone {
             // Relay *before* processing, so the shadow can never miss a
             // request whose effects the primary exposed to a client.
-            self.relay(msg.src, req_id, msg.kind, &msg.payload, epoch_wire)?;
+            self.relay(msg.src, req_id, msg.kind, &msg.payload, stamped)?;
         }
-        self.dispatch(msg.src, req_id, decoded, op)
+        self.dispatch(msg.src, req_id, frame.msg, op)
+    }
+
+    /// The shard-to-shard and admin control plane (fencing, handoff,
+    /// entry re-homing): handled at once, never deferred or relayed.
+    fn on_control(&mut self, src: u32, m: DsdMsg) -> Result<(), HomeError> {
+        match m {
+            DsdMsg::Depose { shard, epoch } => {
+                if shard == self.shard && !self.fenced {
+                    self.fence();
+                }
+                let ack = DsdMsg::DeposeAck { shard, epoch }.encode_frame(0, None);
+                match self.net_send(src, MsgKind::DeposeAck, ack, OpCtx::default()) {
+                    Err(NetError::Disconnected(_)) => Ok(()),
+                    other => Ok(other?),
+                }
+            }
+            DsdMsg::HandoffRequest { shard } if shard == self.shard => self.start_handoff(src),
+            DsdMsg::HandoffState {
+                shard,
+                epoch,
+                state,
+            } if shard == self.shard => self.on_handoff_state(src, epoch, state),
+            DsdMsg::HandoffInstalled { shard, epoch } if shard == self.shard => {
+                self.peer_last_heard = self.clock.now();
+                self.finish_handoff(epoch)
+            }
+            DsdMsg::EntryHandoff { entry, to_shard } => self.on_entry_handoff(src, entry, to_shard),
+            DsdMsg::EntryState {
+                entry,
+                epoch,
+                state,
+            } => self.on_entry_state(src, entry, epoch, state),
+            DsdMsg::EntryInstalled { entry, epoch } => self.on_entry_installed(entry, epoch),
+            _ => Ok(()),
+        }
     }
 
     /// Redirect a client with a stale view: the shard now rules under
@@ -1061,7 +1013,7 @@ impl HomeShard {
             shard: self.shard,
             epoch: self.epoch + 1,
         }
-        .encode_enveloped(req_id);
+        .encode_frame(req_id, None);
         match self.net_send(src_ep, MsgKind::ViewChange, payload, OpCtx::default()) {
             Err(NetError::Disconnected(_)) => Ok(()),
             other => Ok(other?),
@@ -1091,19 +1043,19 @@ impl HomeShard {
         req_id: u64,
         kind: MsgKind,
         payload: &Bytes,
-        epoch_wire: bool,
+        stamped: bool,
     ) -> Result<(), HomeError> {
         let Some(rep) = self.replica_ep else {
             return Ok(());
         };
-        let body = payload.slice(if epoch_wire { 12 } else { 8 }..);
+        let body = payload.slice(if stamped { 12 } else { 8 }..);
         let frame = DsdMsg::Replicate {
             src_ep,
             req_id,
             kind: kind as u16,
             body,
         }
-        .encode_enveloped(0);
+        .encode_frame(0, None);
         match self.ep.send(rep, MsgKind::Replicate, frame) {
             Err(NetError::Disconnected(_)) => {
                 // The replica crashed. Continue solo — the cluster is
@@ -1127,9 +1079,9 @@ impl HomeShard {
             src_ep: 0,
             req_id: 0,
             kind: inner.kind() as u16,
-            body: inner.encode(),
+            body: inner.encode_body(),
         }
-        .encode_enveloped(0);
+        .encode_frame(0, None);
         match self.ep.send(rep, MsgKind::Replicate, frame) {
             Err(NetError::Disconnected(_)) => {
                 self.replica_gone = true;
@@ -1146,7 +1098,7 @@ impl HomeShard {
     /// requests the primary already answered.
     fn on_replicate(&mut self, msg: Message) -> Result<(), HomeError> {
         self.peer_last_heard = self.clock.now();
-        let (_, m) = DsdMsg::decode_enveloped(msg.kind, msg.payload)?;
+        let m = DsdMsg::decode_frame(msg.kind, msg.payload, self.replicated())?.msg;
         let DsdMsg::Replicate {
             src_ep,
             req_id,
@@ -1161,7 +1113,7 @@ impl HomeShard {
                 "relayed frame with unknown kind",
             )));
         };
-        let inner = DsdMsg::decode(kind, body)?;
+        let inner = DsdMsg::decode_body(kind, body)?;
         self.mute = true;
         let res = match inner {
             // Relayed home-side decisions (req id 0), not client requests.
@@ -1224,7 +1176,7 @@ impl HomeShard {
                             epoch,
                             state,
                         }
-                        .encode_enveloped(0);
+                        .encode_frame(0, None);
                         match self.ep.send(rep, MsgKind::HandoffState, frame) {
                             Err(NetError::Disconnected(_)) => {
                                 return Err(HomeError::Violation(
@@ -1249,7 +1201,7 @@ impl HomeShard {
                     // Beat the primary so it can self-fence if it loses
                     // us; a dead endpoint on the other side means the
                     // primary crashed outright.
-                    let beat = DsdMsg::ReplicaBeat { shard: self.shard }.encode_enveloped(0);
+                    let beat = DsdMsg::ReplicaBeat { shard: self.shard }.encode_frame(0, None);
                     let primary = self.primary_ep.expect("replica without primary");
                     let primary_dead = matches!(
                         self.ep.send(primary, MsgKind::ReplicaBeat, beat),
@@ -1271,7 +1223,7 @@ impl HomeShard {
                             shard: self.shard,
                             epoch: self.epoch,
                         }
-                        .encode_enveloped(0);
+                        .encode_frame(0, None);
                         let primary = self.primary_ep.expect("replica without primary");
                         match self.ep.send(primary, MsgKind::Depose, frame) {
                             // Dead primary needs no fencing.
@@ -1348,7 +1300,7 @@ impl HomeShard {
             epoch: new_epoch,
             state,
         }
-        .encode_enveloped(0);
+        .encode_frame(0, None);
         match self.ep.send(rep, MsgKind::HandoffState, frame) {
             Err(NetError::Disconnected(_)) => Err(HomeError::Violation(
                 "handoff target replica is gone".into(),
@@ -1387,7 +1339,7 @@ impl HomeShard {
             shard: self.shard,
             epoch: new_epoch,
         }
-        .encode_enveloped(0);
+        .encode_frame(0, None);
         match self.ep.send(admin_ep, MsgKind::HandoffDone, done) {
             Err(NetError::Disconnected(_)) => {}
             other => other?,
@@ -1433,7 +1385,7 @@ impl HomeShard {
             shard: self.shard,
             epoch: self.epoch,
         }
-        .encode_enveloped(0);
+        .encode_frame(0, None);
         match self.ep.send(src_ep, MsgKind::HandoffInstalled, ack) {
             Err(NetError::Disconnected(_)) => Ok(()),
             other => Ok(other?),
@@ -1471,7 +1423,7 @@ impl HomeShard {
         if to_shard == self.shard || !self.owns_entry(entry) {
             // Already there (or a duplicate of a completed move): the
             // idempotent confirmation is all the admin needs.
-            let done = DsdMsg::EntryDone { entry, to_shard }.encode_enveloped(0);
+            let done = DsdMsg::EntryDone { entry, to_shard }.encode_frame(0, None);
             return match self.net_send(admin_ep, MsgKind::EntryDone, done, OpCtx::default()) {
                 Err(NetError::Disconnected(_)) => Ok(()),
                 other => Ok(other?),
@@ -1482,7 +1434,7 @@ impl HomeShard {
             .filter(|r| r.entry == entry)
             .collect();
         let ups = extract_updates(&self.gthv, &ranges)?;
-        let state = pack_batch(&ups);
+        let state = pack_batch_fast(&ups);
         let prev = self.entry_home.get(&entry).copied();
         let epoch = prev.map(|(_, e)| e).unwrap_or(0) + 1;
         // Ship the flip down the replication stream *before* acting on
@@ -1517,7 +1469,7 @@ impl HomeShard {
             epoch: h.epoch,
             state: h.state.clone(),
         }
-        .encode_enveloped(0);
+        .encode_frame(0, None);
         let to_shard = h.to_shard;
         let mut eps = vec![self.directory.shard_ep(to_shard)];
         if self.directory.n_replicas() > 0 {
@@ -1586,7 +1538,7 @@ impl HomeShard {
             })?;
             self.install_entry(entry, epoch, state)?;
         }
-        let ack = DsdMsg::EntryInstalled { entry, epoch }.encode_enveloped(0);
+        let ack = DsdMsg::EntryInstalled { entry, epoch }.encode_frame(0, None);
         match self.net_send(src_ep, MsgKind::EntryInstalled, ack, OpCtx::default()) {
             Err(NetError::Disconnected(_)) => Ok(()),
             other => Ok(other?),
@@ -1603,7 +1555,7 @@ impl HomeShard {
             return Ok(());
         }
         let ups = unpack_batch(state).map_err(ProtocolError::from)?;
-        apply_batch_mode(&mut self.gthv, &ups, &mut self.conv_stats, self.fast_path)?;
+        apply_batch(&mut self.gthv, &ups, &mut self.conv_stats)?;
         self.entry_home.insert(entry, (self.shard, epoch));
         self.seq += 1;
         self.log_floor = self.seq;
@@ -1644,7 +1596,7 @@ impl HomeShard {
             entry: h.entry,
             to_shard: h.to_shard,
         }
-        .encode_enveloped(0);
+        .encode_frame(0, None);
         match self.net_send(h.admin_ep, MsgKind::EntryDone, done, OpCtx::default()) {
             Err(NetError::Disconnected(_)) => {}
             other => other?,
@@ -1716,10 +1668,12 @@ impl HomeShard {
             };
             match msg.kind {
                 MsgKind::Depose => {
-                    if let Ok((_, DsdMsg::Depose { shard, epoch })) =
-                        DsdMsg::decode_enveloped(msg.kind, msg.payload)
+                    if let Ok(Frame {
+                        msg: DsdMsg::Depose { shard, epoch },
+                        ..
+                    }) = DsdMsg::decode_frame(msg.kind, msg.payload, self.replicated())
                     {
-                        let ack = DsdMsg::DeposeAck { shard, epoch }.encode_enveloped(0);
+                        let ack = DsdMsg::DeposeAck { shard, epoch }.encode_frame(0, None);
                         let _ = self.ep.send(msg.src, MsgKind::DeposeAck, ack);
                     }
                 }
@@ -1761,7 +1715,7 @@ impl HomeShard {
         out.put_u64(self.seq);
         out.put_u64(self.log_floor);
         let ups = extract_updates(&self.gthv, &self.owned_full_ranges())?;
-        let batch = pack_batch(&ups);
+        let batch = pack_batch_fast(&ups);
         out.put_u32(batch.len() as u32);
         out.put_slice(&batch);
         out.put_u32(self.log.len() as u32);
@@ -1852,7 +1806,7 @@ impl HomeShard {
         need(&b, blen)?;
         let batch = b.split_to(blen);
         let ups = unpack_batch(batch).map_err(ProtocolError::from)?;
-        apply_batch_mode(&mut self.gthv, &ups, &mut self.conv_stats, self.fast_path)?;
+        apply_batch(&mut self.gthv, &ups, &mut self.conv_stats)?;
         need(&b, 4)?;
         let n = b.get_u32();
         self.log.clear();
@@ -1995,17 +1949,13 @@ impl HomeShard {
                 Err(NetError::Timeout) | Err(NetError::ChannelClosed) => return Ok(()),
                 Err(e) => return Err(e.into()),
             };
-            let epoch_wire = self.replicated() && DsdMsg::epoch_stamped(msg.kind);
-            let (req_id, decoded) = if epoch_wire {
-                match DsdMsg::decode_enveloped_epoch(msg.kind, msg.payload) {
-                    Ok((r, _, d)) => (r, d),
-                    Err(_) => continue,
-                }
-            } else {
-                match DsdMsg::decode_enveloped(msg.kind, msg.payload) {
-                    Ok(x) => x,
-                    Err(_) => continue,
-                }
+            let Ok(Frame {
+                req_id,
+                msg: decoded,
+                ..
+            }) = DsdMsg::decode_frame(msg.kind, msg.payload, self.replicated())
+            else {
+                continue;
             };
             let Some(rank) = decoded.sender_rank() else {
                 continue;

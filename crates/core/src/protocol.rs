@@ -11,7 +11,7 @@
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use hdsm_net::message::MsgKind;
-use hdsm_tags::wire::{pack_batch, pack_batch_fast, unpack_batch, WireError, WireUpdate};
+use hdsm_tags::wire::{pack_batch_fast, unpack_batch, WireError, WireUpdate};
 use std::fmt;
 
 /// A decoded DSD protocol message.
@@ -271,6 +271,19 @@ pub enum DsdMsg {
     },
 }
 
+/// One decoded wire frame: the reliability envelope and its message.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Frame {
+    /// Request id; replies echo the request's id, `0` marks unsolicited
+    /// messages.
+    pub req_id: u64,
+    /// The sender's epoch stamp, present iff the frame carried one (see
+    /// [`DsdMsg::decode_frame`]).
+    pub epoch: Option<u32>,
+    /// The message.
+    pub msg: DsdMsg,
+}
+
 /// Protocol-level decode errors.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ProtocolError {
@@ -342,7 +355,7 @@ impl DsdMsg {
     /// the kinds that carry the epoch-stamped reliability envelope when
     /// replication is on; replies and the replication/admin control plane
     /// keep the plain envelope.
-    pub fn epoch_stamped(kind: MsgKind) -> bool {
+    fn epoch_stamped(kind: MsgKind) -> bool {
         matches!(
             kind,
             MsgKind::LockRequest
@@ -359,22 +372,56 @@ impl DsdMsg {
         )
     }
 
-    /// Encode to a payload with the v1 (per-update framed) batch format.
-    /// The update batch (if any) is packed with the CGT-RMR wire format —
-    /// this is the `t_pack` work.
-    pub fn encode(&self) -> Bytes {
-        self.encode_with(pack_batch)
+    /// Encode with the reliability envelope — the one way a message goes
+    /// on the wire. The frame is `req_id u64 | [epoch u32] | body`: the
+    /// request id comes first so replies can be matched and stale
+    /// duplicates discarded (`0` is reserved for unsolicited messages such
+    /// as heartbeats and shutdown broadcasts). The epoch stamp is written
+    /// iff `epoch` is `Some` *and* this message's kind is a client request
+    /// (or heartbeat); callers pass `Some` exactly when replication is on,
+    /// and a home shard compares the stamp against its own epoch to detect
+    /// stale views and its own deposition. Update batches are packed with
+    /// the grouped v2 format ([`pack_batch_fast`]) — the `t_pack` work.
+    pub fn encode_frame(&self, req_id: u64, epoch: Option<u32>) -> Bytes {
+        let mut out = BytesMut::with_capacity(28);
+        out.put_u64(req_id);
+        if let Some(e) = epoch.filter(|_| DsdMsg::epoch_stamped(self.kind())) {
+            out.put_u32(e);
+        }
+        self.write_body(&mut out);
+        out.freeze()
     }
 
-    /// Encode to a payload, choosing the batch format: `fast` uses the v2
-    /// grouped format ([`pack_batch_fast`]), otherwise v1. [`Self::decode`]
-    /// accepts either, so mixed-mode clusters interoperate.
-    pub fn encode_mode(&self, fast: bool) -> Bytes {
-        self.encode_with(if fast { pack_batch_fast } else { pack_batch })
+    /// Decode a frame received under `kind` — the `t_unpack` work. The
+    /// frame carries an epoch stamp iff `replicated` and `kind` is a client
+    /// request (or heartbeat), mirroring [`Self::encode_frame`].
+    pub fn decode_frame(
+        kind: MsgKind,
+        mut payload: Bytes,
+        replicated: bool,
+    ) -> Result<Frame, ProtocolError> {
+        let stamped = replicated && DsdMsg::epoch_stamped(kind);
+        if payload.remaining() < if stamped { 12 } else { 8 } {
+            return Err(ProtocolError::Truncated);
+        }
+        let req_id = payload.get_u64();
+        let epoch = stamped.then(|| payload.get_u32());
+        Ok(Frame {
+            req_id,
+            epoch,
+            msg: DsdMsg::decode_body(kind, payload)?,
+        })
     }
 
-    fn encode_with(&self, pack: fn(&[WireUpdate]) -> Bytes) -> Bytes {
+    /// The message body alone, without the envelope. Only the replication
+    /// relay ships bare bodies (inside [`DsdMsg::Replicate`]).
+    pub(crate) fn encode_body(&self) -> Bytes {
         let mut out = BytesMut::with_capacity(16);
+        self.write_body(&mut out);
+        out.freeze()
+    }
+
+    fn write_body(&self, out: &mut BytesMut) {
         match self {
             DsdMsg::LockRequest { lock, rank } => {
                 out.put_u32(*lock);
@@ -382,7 +429,7 @@ impl DsdMsg {
             }
             DsdMsg::LockGrant { lock, updates } => {
                 out.put_u32(*lock);
-                out.put_slice(&pack(updates));
+                out.put_slice(&pack_batch_fast(updates));
             }
             DsdMsg::UnlockRequest {
                 lock,
@@ -391,7 +438,7 @@ impl DsdMsg {
             } => {
                 out.put_u32(*lock);
                 out.put_u32(*rank);
-                out.put_slice(&pack(updates));
+                out.put_slice(&pack_batch_fast(updates));
             }
             DsdMsg::UnlockAck { lock } => out.put_u32(*lock),
             DsdMsg::BarrierEnter {
@@ -401,11 +448,11 @@ impl DsdMsg {
             } => {
                 out.put_u32(*barrier);
                 out.put_u32(*rank);
-                out.put_slice(&pack(updates));
+                out.put_slice(&pack_batch_fast(updates));
             }
             DsdMsg::BarrierRelease { barrier, updates } => {
                 out.put_u32(*barrier);
-                out.put_slice(&pack(updates));
+                out.put_slice(&pack_batch_fast(updates));
             }
             DsdMsg::Join { rank } | DsdMsg::Resync { rank } | DsdMsg::Heartbeat { rank } => {
                 out.put_u32(*rank)
@@ -428,7 +475,7 @@ impl DsdMsg {
                 out.put_u32(*cond);
                 out.put_u32(*lock);
                 out.put_u32(*rank);
-                out.put_slice(&pack(updates));
+                out.put_slice(&pack_batch_fast(updates));
             }
             DsdMsg::CondSignal {
                 cond,
@@ -441,10 +488,10 @@ impl DsdMsg {
             }
             DsdMsg::UpdateFlush { rank, updates } => {
                 out.put_u32(*rank);
-                out.put_slice(&pack(updates));
+                out.put_slice(&pack_batch_fast(updates));
             }
             DsdMsg::UpdateFetch { rank } => out.put_u32(*rank),
-            DsdMsg::UpdateBatch { updates } => out.put_slice(&pack(updates)),
+            DsdMsg::UpdateBatch { updates } => out.put_slice(&pack_batch_fast(updates)),
             DsdMsg::Replicate {
                 src_ep,
                 req_id,
@@ -501,11 +548,11 @@ impl DsdMsg {
             }
             DsdMsg::Ack | DsdMsg::Shutdown => {}
         }
-        out.freeze()
     }
 
-    /// Decode a payload received under `kind` — the `t_unpack` work.
-    pub fn decode(kind: MsgKind, mut payload: Bytes) -> Result<DsdMsg, ProtocolError> {
+    /// Decode a bare message body received under `kind` (the inverse of
+    /// [`Self::encode_body`]). Accepts v1 and v2 update batches alike.
+    pub(crate) fn decode_body(kind: MsgKind, mut payload: Bytes) -> Result<DsdMsg, ProtocolError> {
         fn u32_of(b: &mut Bytes) -> Result<u32, ProtocolError> {
             if b.remaining() < 4 {
                 return Err(ProtocolError::Truncated);
@@ -659,6 +706,11 @@ impl DsdMsg {
             }),
             MsgKind::EntryMoved => {
                 let n = u32_of(&mut payload)? as usize;
+                // The count is untrusted: reject it before allocating
+                // unless the frame really holds `n` 12-byte rows.
+                if n.saturating_mul(12) > payload.remaining() {
+                    return Err(ProtocolError::Truncated);
+                }
                 let mut entries = Vec::with_capacity(n);
                 for _ in 0..n {
                     entries.push((
@@ -691,64 +743,6 @@ impl DsdMsg {
             _ => None,
         }
     }
-
-    /// Encode with the reliability envelope: a `u64` request id precedes
-    /// the message body. Replies echo the request's id so the client can
-    /// match them up and discard stale duplicates; `0` is reserved for
-    /// unsolicited messages (heartbeats, shutdown broadcasts).
-    pub fn encode_enveloped(&self, req_id: u64) -> Bytes {
-        self.encode_enveloped_mode(req_id, false)
-    }
-
-    /// [`Self::encode_enveloped`] with an explicit batch-format choice.
-    pub fn encode_enveloped_mode(&self, req_id: u64, fast: bool) -> Bytes {
-        let body = self.encode_mode(fast);
-        let mut out = BytesMut::with_capacity(8 + body.len());
-        out.put_u64(req_id);
-        out.put_slice(&body);
-        out.freeze()
-    }
-
-    /// Decode a payload carrying the reliability envelope; returns the
-    /// request id alongside the message.
-    pub fn decode_enveloped(
-        kind: MsgKind,
-        mut payload: Bytes,
-    ) -> Result<(u64, DsdMsg), ProtocolError> {
-        if payload.remaining() < 8 {
-            return Err(ProtocolError::Truncated);
-        }
-        let req_id = payload.get_u64();
-        Ok((req_id, DsdMsg::decode(kind, payload)?))
-    }
-
-    /// Encode with the *epoch-stamped* reliability envelope used by client
-    /// requests when replication is on: `req_id u64 | epoch u32 | body`.
-    /// A home shard compares the stamp against its own epoch to detect
-    /// stale views (reply [`DsdMsg::ViewChange`]) and its own deposition
-    /// (a stamp from the future means another epoch rules the shard).
-    pub fn encode_enveloped_epoch(&self, req_id: u64, epoch: u32, fast: bool) -> Bytes {
-        let body = self.encode_mode(fast);
-        let mut out = BytesMut::with_capacity(12 + body.len());
-        out.put_u64(req_id);
-        out.put_u32(epoch);
-        out.put_slice(&body);
-        out.freeze()
-    }
-
-    /// Decode a payload carrying the epoch-stamped envelope; returns the
-    /// request id and epoch stamp alongside the message.
-    pub fn decode_enveloped_epoch(
-        kind: MsgKind,
-        mut payload: Bytes,
-    ) -> Result<(u64, u32, DsdMsg), ProtocolError> {
-        if payload.remaining() < 12 {
-            return Err(ProtocolError::Truncated);
-        }
-        let req_id = payload.get_u64();
-        let epoch = payload.get_u32();
-        Ok((req_id, epoch, DsdMsg::decode(kind, payload)?))
-    }
 }
 
 #[cfg(test)]
@@ -757,6 +751,7 @@ mod tests {
     use hdsm_platform::endian::Endianness;
     use hdsm_platform::scalar::ScalarKind;
     use hdsm_tags::generate::tag_for_scalar_run;
+    use hdsm_tags::wire::pack_batch;
 
     fn sample_updates() -> Vec<WireUpdate> {
         vec![WireUpdate {
@@ -825,7 +820,7 @@ mod tests {
                 src_ep: 7,
                 req_id: 41,
                 kind: MsgKind::LockRequest as u16,
-                body: DsdMsg::LockRequest { lock: 2, rank: 5 }.encode(),
+                body: DsdMsg::LockRequest { lock: 2, rank: 5 }.encode_body(),
             },
             DsdMsg::Depose { shard: 1, epoch: 2 },
             DsdMsg::DeposeAck { shard: 1, epoch: 2 },
@@ -860,18 +855,25 @@ mod tests {
         ];
         for m in msgs {
             let kind = m.kind();
-            let bytes = m.encode();
-            let back = DsdMsg::decode(kind, bytes).unwrap();
-            assert_eq!(back, m);
-            // And through the reliability envelope.
-            let (req_id, back) = DsdMsg::decode_enveloped(kind, m.encode_enveloped(77)).unwrap();
-            assert_eq!(req_id, 77);
-            assert_eq!(back, m);
+            assert_eq!(DsdMsg::decode_body(kind, m.encode_body()).unwrap(), m);
+            // Through the framed codec, plain and epoch-stamped: the stamp
+            // survives exactly on the kinds that carry one.
+            for (epoch, replicated) in [(None, false), (Some(3), true)] {
+                let frame = DsdMsg::decode_frame(kind, m.encode_frame(77, epoch), replicated);
+                assert_eq!(
+                    frame.unwrap(),
+                    Frame {
+                        req_id: 77,
+                        epoch: epoch.filter(|_| DsdMsg::epoch_stamped(kind)),
+                        msg: m.clone(),
+                    }
+                );
+            }
         }
     }
 
     #[test]
-    fn fast_mode_roundtrips_every_update_carrier() {
+    fn grouped_batches_roundtrip_every_update_carrier() {
         // Many small same-entry updates — the shape the v2 grouped format
         // exists for — must survive every message that carries a batch.
         let updates: Vec<WireUpdate> = (0..40u32)
@@ -880,6 +882,11 @@ mod tests {
                 ..sample_updates().pop().unwrap()
             })
             .collect();
+        let v2 = pack_batch_fast(&updates);
+        assert!(
+            v2.len() < pack_batch(&updates).len(),
+            "v2 should be smaller"
+        );
         let msgs = vec![
             DsdMsg::LockGrant {
                 lock: 2,
@@ -913,21 +920,36 @@ mod tests {
         ];
         for m in msgs {
             let kind = m.kind();
-            let slow = m.encode_mode(false);
-            let fast = m.encode_mode(true);
-            assert!(fast.len() < slow.len(), "fast framing should be smaller");
-            assert_eq!(DsdMsg::decode(kind, fast).unwrap(), m);
-            let (rid, back) =
-                DsdMsg::decode_enveloped(kind, m.encode_enveloped_mode(9, true)).unwrap();
-            assert_eq!(rid, 9);
-            assert_eq!(back, m);
+            let bytes = m.encode_frame(9, None);
+            assert!(bytes.ends_with(&v2), "{kind:?} must carry the v2 batch");
+            let frame = DsdMsg::decode_frame(kind, bytes, false).unwrap();
+            assert_eq!((frame.req_id, frame.msg), (9, m));
         }
+    }
+
+    #[test]
+    fn v1_batches_still_decode() {
+        let mut raw = BytesMut::new();
+        raw.put_u64(4);
+        raw.put_u32(2);
+        raw.put_slice(&pack_batch(&sample_updates()));
+        let frame = DsdMsg::decode_frame(MsgKind::LockGrant, raw.freeze(), false).unwrap();
+        assert_eq!(
+            frame.msg,
+            DsdMsg::LockGrant {
+                lock: 2,
+                updates: sample_updates(),
+            }
+        );
     }
 
     #[test]
     fn legacy_resync_under_other_kind_still_decodes() {
         let m = DsdMsg::Resync { rank: 9 };
-        assert_eq!(DsdMsg::decode(MsgKind::Other, m.encode()).unwrap(), m);
+        assert_eq!(
+            DsdMsg::decode_body(MsgKind::Other, m.encode_body()).unwrap(),
+            m
+        );
     }
 
     #[test]
@@ -936,7 +958,7 @@ mod tests {
         let mut raw = BytesMut::new();
         raw.put_u32(5);
         assert_eq!(
-            DsdMsg::decode(MsgKind::WorkerLost, raw.freeze()).unwrap(),
+            DsdMsg::decode_body(MsgKind::WorkerLost, raw.freeze()).unwrap(),
             DsdMsg::WorkerLost {
                 rank: 5,
                 heard_ms: 0,
@@ -948,14 +970,19 @@ mod tests {
     #[test]
     fn epoch_envelope_roundtrips_and_detects_truncation() {
         let m = DsdMsg::LockRequest { lock: 2, rank: 5 };
-        let bytes = m.encode_enveloped_epoch(77, 3, false);
-        let (rid, epoch, back) = DsdMsg::decode_enveloped_epoch(m.kind(), bytes).unwrap();
-        assert_eq!((rid, epoch), (77, 3));
-        assert_eq!(back, m);
+        let frame = DsdMsg::decode_frame(m.kind(), m.encode_frame(77, Some(3)), true).unwrap();
+        assert_eq!((frame.req_id, frame.epoch), (77, Some(3)));
+        assert_eq!(frame.msg, m);
         assert_eq!(
-            DsdMsg::decode_enveloped_epoch(MsgKind::Join, Bytes::from_static(&[0; 11])),
+            DsdMsg::decode_frame(MsgKind::Join, Bytes::from_static(&[0; 11]), true),
             Err(ProtocolError::Truncated)
         );
+    }
+
+    #[test]
+    fn replies_never_carry_an_epoch_stamp() {
+        let m = DsdMsg::UnlockAck { lock: 2 };
+        assert_eq!(m.encode_frame(5, Some(3)), m.encode_frame(5, None));
     }
 
     #[test]
@@ -991,7 +1018,7 @@ mod tests {
     #[test]
     fn envelope_truncation_detected() {
         assert_eq!(
-            DsdMsg::decode_enveloped(MsgKind::Ack, Bytes::from_static(&[0; 7])),
+            DsdMsg::decode_frame(MsgKind::Ack, Bytes::from_static(&[0; 7]), false),
             Err(ProtocolError::Truncated)
         );
     }
@@ -999,17 +1026,38 @@ mod tests {
     #[test]
     fn truncation_detected() {
         assert_eq!(
-            DsdMsg::decode(MsgKind::LockRequest, Bytes::from_static(&[0, 0])),
+            DsdMsg::decode_body(MsgKind::LockRequest, Bytes::from_static(&[0, 0])),
             Err(ProtocolError::Truncated)
         );
-        assert!(DsdMsg::decode(MsgKind::LockGrant, Bytes::from_static(&[0, 0, 0, 1])).is_err());
+        assert!(
+            DsdMsg::decode_body(MsgKind::LockGrant, Bytes::from_static(&[0, 0, 0, 1])).is_err()
+        );
     }
 
     #[test]
     fn migration_kind_rejected_here() {
         assert!(matches!(
-            DsdMsg::decode(MsgKind::Migration, Bytes::new()),
+            DsdMsg::decode_body(MsgKind::Migration, Bytes::new()),
             Err(ProtocolError::BadMessage(_))
         ));
+    }
+
+    #[test]
+    fn entry_moved_count_larger_than_the_frame_is_rejected() {
+        // A hostile count must fail before anything is allocated for it.
+        let mut raw = BytesMut::new();
+        raw.put_u32(u32::MAX);
+        assert_eq!(
+            DsdMsg::decode_body(MsgKind::EntryMoved, raw.freeze()),
+            Err(ProtocolError::Truncated)
+        );
+        let mut raw = BytesMut::new();
+        raw.put_u64(1);
+        raw.put_u32(2);
+        raw.put_slice(&[0; 12]);
+        assert_eq!(
+            DsdMsg::decode_frame(MsgKind::EntryMoved, raw.freeze(), true),
+            Err(ProtocolError::Truncated)
+        );
     }
 }

@@ -19,7 +19,7 @@ use crate::runs::UpdateRange;
 use bytes::Bytes;
 use hdsm_platform::endian::{fits_uint, read_uint, write_uint};
 use hdsm_platform::scalar::{ScalarClass, ScalarKind};
-use hdsm_tags::convert::{convert_scalar_run, ConversionError, ConversionStats};
+use hdsm_tags::convert::{ConversionError, ConversionStats};
 use hdsm_tags::generate::tag_for_scalar_run;
 use hdsm_tags::plan::RunPlan;
 use hdsm_tags::tag::TagItem;
@@ -223,7 +223,7 @@ pub fn apply_update(
     u: &WireUpdate,
     stats: &mut ConversionStats,
 ) -> Result<Applied, UpdateError> {
-    apply_inner(gthv, u, stats, false, true)
+    apply_inner(gthv, u, stats, false)
 }
 
 /// Apply one wire update through the *tracked* write path, so the write
@@ -234,7 +234,7 @@ pub fn apply_tracked(
     u: &WireUpdate,
     stats: &mut ConversionStats,
 ) -> Result<Applied, UpdateError> {
-    apply_inner(gthv, u, stats, true, true)
+    apply_inner(gthv, u, stats, true)
 }
 
 fn apply_inner(
@@ -242,7 +242,6 @@ fn apply_inner(
     u: &WireUpdate,
     stats: &mut ConversionStats,
     tracked: bool,
-    fast: bool,
 ) -> Result<Applied, UpdateError> {
     // Copy the scalar fields out of the row instead of cloning it — the
     // row's path String would otherwise be allocated and dropped once per
@@ -316,33 +315,18 @@ fn apply_inner(
         return Ok(Applied::Memcpy);
     }
 
-    // Heterogeneous path: receiver makes right. The fast variant fetches
-    // the compiled plan for (entry, sender shape) — lowered once, memoized
-    // — instead of re-deriving the dispatch per update; the slow variant
-    // keeps the original per-update `convert_scalar_run` as the
-    // differential-testing oracle. Both are byte- and stats-identical.
+    // Heterogeneous path: receiver makes right, through the compiled plan
+    // for (entry, sender shape) — lowered once, memoized — instead of
+    // re-deriving the dispatch per update. `convert_scalar_run` stays the
+    // byte- and stats-identical oracle the tests compare it against.
     let mut native = vec![0u8; dst_len];
-    if fast {
-        let class = row_kind.class();
-        let plan = gthv
-            .plans_mut()
-            .lookup(u.entry as usize, src_size, u.endian, || {
-                RunPlan::lower(class, src_size, u.endian, row_size, local_endian)
-            });
-        plan.apply(&u.data, &mut native, count, stats)?;
-    } else {
-        convert_scalar_run(
-            &u.data,
-            src_size,
-            u.endian,
-            &mut native,
-            row_size,
-            local_endian,
-            row_kind.class(),
-            count,
-            stats,
-        )?;
-    }
+    let class = row_kind.class();
+    let plan = gthv
+        .plans_mut()
+        .lookup(u.entry as usize, src_size, u.endian, || {
+            RunPlan::lower(class, src_size, u.endian, row_size, local_endian)
+        });
+    plan.apply(&u.data, &mut native, count, stats)?;
     store(gthv, dst_addr, &native, tracked)?;
     Ok(Applied::Converted)
 }
@@ -368,22 +352,9 @@ pub fn apply_batch(
     updates: &[WireUpdate],
     stats: &mut ConversionStats,
 ) -> Result<(u64, u64, u64), UpdateError> {
-    apply_batch_mode(gthv, updates, stats, true)
-}
-
-/// [`apply_batch`] with an explicit path selection: `fast` uses the
-/// compiled-plan cache, `!fast` the original per-update conversion
-/// dispatch. The differential suite runs whole workloads under both and
-/// requires byte-identical final memory.
-pub fn apply_batch_mode(
-    gthv: &mut GthvInstance,
-    updates: &[WireUpdate],
-    stats: &mut ConversionStats,
-    fast: bool,
-) -> Result<(u64, u64, u64), UpdateError> {
     let (mut m, mut c, mut p) = (0, 0, 0);
     for u in updates {
-        match apply_inner(gthv, u, stats, false, fast)? {
+        match apply_inner(gthv, u, stats, false)? {
             Applied::Memcpy => m += 1,
             Applied::Converted => c += 1,
             Applied::PointerTranslated => p += 1,
@@ -571,6 +542,48 @@ mod tests {
         assert_eq!(dst.space().stats().faults, 0);
     }
 
+    /// The oracle for [`apply_batch`]'s heterogeneous scalar path: the
+    /// per-update `convert_scalar_run` dispatch, with no plan cache.
+    /// Pointer and memcpy updates take the production path, which has no
+    /// plan to check.
+    fn apply_batch_oracle(
+        gthv: &mut GthvInstance,
+        updates: &[WireUpdate],
+        stats: &mut ConversionStats,
+    ) -> (u64, u64, u64) {
+        let (mut m, mut c, mut p) = (0, 0, 0);
+        for u in updates {
+            let row = gthv.table().row(u.entry).unwrap().clone();
+            let (src_size, count, is_ptr) = run_shape(u).unwrap();
+            let endian = gthv.platform().endian;
+            if is_ptr || (src_size == row.size && u.endian == endian) {
+                match apply_update(gthv, u, stats).unwrap() {
+                    Applied::Memcpy => m += 1,
+                    Applied::Converted => c += 1,
+                    Applied::PointerTranslated => p += 1,
+                }
+                continue;
+            }
+            let mut native = vec![0u8; (u64::from(row.size) * count) as usize];
+            hdsm_tags::convert::convert_scalar_run(
+                &u.data,
+                src_size,
+                u.endian,
+                &mut native,
+                row.size,
+                endian,
+                row.kind.class(),
+                count,
+                stats,
+            )
+            .unwrap();
+            let addr = row.addr + u.elem_offset * u64::from(row.size);
+            gthv.space_mut().write_untracked(addr, &native).unwrap();
+            c += 1;
+        }
+        (m, c, p)
+    }
+
     #[test]
     fn fast_and_slow_apply_are_byte_and_stats_identical() {
         let mut src = inst(PlatformSpec::linux_x86());
@@ -583,9 +596,10 @@ mod tests {
         let ups = extract_updates(&src, &[range(0, 0, 1), range(1, 0, 64)]).unwrap();
         let mut fast_stats = ConversionStats::default();
         let mut slow_stats = ConversionStats::default();
-        let rf = apply_batch_mode(&mut fast, &ups, &mut fast_stats, true).unwrap();
-        let rs = apply_batch_mode(&mut slow, &ups, &mut slow_stats, false).unwrap();
+        let rf = apply_batch(&mut fast, &ups, &mut fast_stats).unwrap();
+        let rs = apply_batch_oracle(&mut slow, &ups, &mut slow_stats);
         assert_eq!(rf, rs);
+        assert_eq!(rf, (0, 1, 1));
         assert_eq!(fast_stats, slow_stats);
         assert_eq!(fast.space().raw(), slow.space().raw());
     }

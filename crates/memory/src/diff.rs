@@ -63,63 +63,6 @@ pub fn diff_pages(space: &AddressSpace) -> Vec<DiffRun> {
     out
 }
 
-/// Worker count for [`diff_pages_parallel`] on this host: available
-/// parallelism capped at 4 — diffing is memory-bound, so more threads stop
-/// paying for themselves quickly.
-pub fn default_diff_threads() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-        .min(4)
-}
-
-/// Number of dirty pages below which the parallel scan falls back to the
-/// serial path: spawning scoped threads costs more than diffing a handful
-/// of pages, and the fallback keeps small syncs (the common case for the
-/// paper's workloads at reduced scale) on the cheap path.
-pub const PARALLEL_DIFF_MIN_PAGES: usize = 16;
-
-/// Parallel variant of [`diff_pages`]: shard the dirty-page set across up
-/// to `threads` scoped workers, each diffing its contiguous shard of pages
-/// independently, then concatenate shard outputs in shard order and merge
-/// across page boundaries. Pages are diffed independently in the serial
-/// path too, so the output is bit-identical to [`diff_pages`] — the
-/// property test in `tests/proptest_dsd.rs` pins this.
-pub fn diff_pages_parallel(space: &AddressSpace, threads: usize) -> Vec<DiffRun> {
-    let pages: Vec<usize> = space.dirty_pages().collect();
-    if threads < 2 || pages.len() < PARALLEL_DIFF_MIN_PAGES {
-        return diff_pages(space);
-    }
-    // `dirty_pages` iterates in ascending page order; contiguous shards
-    // concatenated in shard order therefore preserve ascending addresses.
-    let chunk = pages.len().div_ceil(threads.min(pages.len()));
-    let mut shards: Vec<Vec<DiffRun>> = Vec::new();
-    std::thread::scope(|s| {
-        let handles: Vec<_> = pages
-            .chunks(chunk)
-            .map(|shard| {
-                s.spawn(move || {
-                    let mut out = Vec::new();
-                    for &page in shard {
-                        let twin = space
-                            .twin(page)
-                            .expect("dirty page always has a twin (fault handler invariant)");
-                        diff_page_into(space.page_addr(page), twin, space.page(page), &mut out);
-                    }
-                    out
-                })
-            })
-            .collect();
-        shards = handles
-            .into_iter()
-            .map(|h| h.join().expect("diff shard panicked"))
-            .collect();
-    });
-    let mut out: Vec<DiffRun> = shards.into_iter().flatten().collect();
-    merge_adjacent(&mut out);
-    out
-}
-
 /// Merge runs where one ends exactly where the next begins.
 pub fn merge_adjacent(runs: &mut Vec<DiffRun>) {
     if runs.len() < 2 {
@@ -301,32 +244,6 @@ mod tests {
             .map(|(_, b)| b)
             .sum();
         assert_eq!(charged, total_bytes(&runs));
-    }
-
-    #[test]
-    fn parallel_diff_matches_serial_above_threshold() {
-        // Enough dirty pages to engage the sharded scan, with runs that
-        // cross shard boundaries so concatenation order matters.
-        let pages = 2 * PARALLEL_DIFF_MIN_PAGES;
-        let mut s = armed(pages * 4096, 4096);
-        for p in 0..pages {
-            let addr = BASE + (p as u64) * 4096 + (p as u64 % 7) * 11;
-            s.write(addr, &[p as u8 + 1, 2, 3]).unwrap();
-        }
-        // A run spanning a page boundary (and thus possibly a shard seam).
-        s.write(BASE + 4096 * 8 - 2, &[9, 9, 9, 9]).unwrap();
-        let serial = diff_pages(&s);
-        for threads in [2, 3, 4, 8] {
-            assert_eq!(diff_pages_parallel(&s, threads), serial);
-        }
-    }
-
-    #[test]
-    fn parallel_diff_falls_back_below_threshold() {
-        let mut s = armed(4 * 4096, 4096);
-        s.write(BASE + 5, &[1, 2]).unwrap();
-        s.write(BASE + 4096 + 9, &[3]).unwrap();
-        assert_eq!(diff_pages_parallel(&s, 4), diff_pages(&s));
     }
 
     #[test]

@@ -97,9 +97,13 @@ impl Network {
             // flight-recorder bundle first. The hook runs with the sim
             // state lock held, so the trigger takes the virtual time as an
             // argument instead of reading the (sim-backed) time source.
-            let rec = recorder.clone();
+            // It holds the recorder weakly: a recorder whose time source
+            // is this fabric would otherwise keep both alive forever.
+            let rec = recorder.downgrade();
             sim.set_deadlock_hook(move |t_us| {
-                rec.blackbox_trigger_at("sim-deadlock", t_us);
+                if let Some(rec) = rec.upgrade() {
+                    rec.blackbox_trigger_at("sim-deadlock", t_us);
+                }
             });
         }
         Network::build(n, config, recorder, Some(sim.clone()))

@@ -34,7 +34,7 @@ use crossbeam::channel::Sender;
 use std::cell::Cell;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap, HashSet};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError, Weak};
 use std::time::Duration;
 
 fn splitmix64(mut z: u64) -> u64 {
@@ -188,6 +188,20 @@ pub struct SimFabric {
     core: Arc<SimCore>,
 }
 
+/// A non-owning [`SimFabric`] handle: it does not keep the timeline (or
+/// anything its deadlock hook holds) alive.
+#[derive(Clone)]
+pub struct WeakSimFabric {
+    core: Weak<SimCore>,
+}
+
+impl WeakSimFabric {
+    /// The fabric, unless every strong handle is gone.
+    pub fn upgrade(&self) -> Option<SimFabric> {
+        self.core.upgrade().map(|core| SimFabric { core })
+    }
+}
+
 /// Binds the current thread to its registered actor for the thread's
 /// lifetime; dropping it (normally or during a panic) retires the actor
 /// and hands the token on.
@@ -216,6 +230,13 @@ impl SimFabric {
                 }),
                 deadlock_hook: Mutex::new(None),
             }),
+        }
+    }
+
+    /// A non-owning handle to this fabric.
+    pub fn downgrade(&self) -> WeakSimFabric {
+        WeakSimFabric {
+            core: Arc::downgrade(&self.core),
         }
     }
 

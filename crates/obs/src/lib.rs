@@ -53,7 +53,7 @@ pub use event::{Event, EventKind, OpCtx, OpKind};
 pub use heatmap::{EntryStats, Heatmap, PageStats, WriterStats};
 pub use hlc::{HlcClock, HlcStamp};
 pub use metrics::{bucket_index, bucket_upper, Histogram, Registry, BUCKETS};
-pub use recorder::{InflightOp, ObsConfig, Recorder, Span};
+pub use recorder::{InflightOp, ObsConfig, Recorder, Span, WeakRecorder};
 pub use ring::EventRing;
 pub use snapshot::{
     DecisionRow, DestRow, EntryRow, HistSummary, KindTraffic, ObsSnapshot, PageRow, ReleaseRow,

@@ -21,7 +21,7 @@ use parking_lot::Mutex;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, OnceLock, Weak};
 use std::time::Instant;
 
 /// Pluggable time source: microseconds since "the epoch" of whatever
@@ -143,7 +143,29 @@ impl fmt::Debug for Recorder {
     }
 }
 
+/// A non-owning [`Recorder`] handle, for holders the recorder itself
+/// keeps alive: the sim fabric's deadlock hook holds one, because the
+/// recorder's time source holds the fabric.
+#[derive(Clone, Default)]
+pub struct WeakRecorder(Option<Weak<ObsCore>>);
+
+impl WeakRecorder {
+    /// The recorder, unless every strong handle is gone. A handle to a
+    /// disabled recorder upgrades to a disabled recorder.
+    pub fn upgrade(&self) -> Option<Recorder> {
+        match &self.0 {
+            Some(w) => w.upgrade().map(|c| Recorder(Some(c))),
+            None => Some(Recorder::disabled()),
+        }
+    }
+}
+
 impl Recorder {
+    /// A non-owning handle to this recorder.
+    pub fn downgrade(&self) -> WeakRecorder {
+        WeakRecorder(self.0.as_ref().map(Arc::downgrade))
+    }
+
     /// The no-op recorder (default).
     pub fn disabled() -> Recorder {
         Recorder(None)

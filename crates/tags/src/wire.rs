@@ -155,8 +155,11 @@ pub fn unpack_update(buf: &mut Bytes) -> Result<WireUpdate, WireError> {
     })
 }
 
-/// Pack a batch of updates (count-prefixed). This is the body of a
-/// lock-grant or unlock message.
+/// Pack a batch in the v1 format: a count, then one framed update each.
+/// Nothing on the wire uses it any more — every node packs with
+/// [`pack_batch_fast`] — but it stays as the reference encoding the tests
+/// and criterion benches compare against, and [`unpack_batch`] still
+/// accepts it.
 pub fn pack_batch(updates: &[WireUpdate]) -> Bytes {
     let mut out =
         BytesMut::with_capacity(16 + updates.iter().map(|u| 64 + u.data.len()).sum::<usize>());
@@ -203,7 +206,8 @@ fn tag_run_shape(tag: &Tag) -> Option<(u32, u32, bool)> {
     }
 }
 
-/// Pack a batch in the v2 grouped format.
+/// Pack a batch in the v2 grouped format — the one every update batch
+/// travels in: grants, releases, barrier traffic and shard snapshots.
 ///
 /// Consecutive updates sharing (entry, endianness, sender, element size,
 /// scalar-vs-pointer) and a run-shaped tag collapse into one *run group*

@@ -174,12 +174,10 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------------
-// Fast-path properties: compiled conversion plans and the parallel diff
-// scan must be indistinguishable from the slow paths they replace.
+// Conversion-plan properties: compiled plans must be indistinguishable
+// from the per-run `convert_scalar_run` oracle they replace.
 // ---------------------------------------------------------------------------
 
-use hdsm::memory::diff::{diff_pages, diff_pages_parallel};
-use hdsm::memory::space::AddressSpace;
 use hdsm::platform::endian::Endianness;
 use hdsm::platform::scalar::ScalarClass;
 use hdsm::tags::convert::{convert_scalar_run, ConversionStats};
@@ -372,27 +370,6 @@ proptest! {
             }
         }
         prop_assert_eq!(back, normalized);
-    }
-
-    /// Random dirty-byte patterns: the sharded parallel diff scan must
-    /// return exactly the runs of the serial scan for any thread count.
-    #[test]
-    fn parallel_diff_scan_equals_serial(
-        pages in 1usize..40,
-        writes in prop::collection::vec((any::<u16>(), 1usize..16, any::<u8>()), 0..64),
-        threads in 2usize..9,
-    ) {
-        const PAGE: usize = 256;
-        const BASE: u64 = 0x8000;
-        let len = pages * PAGE;
-        let mut space = AddressSpace::new(BASE, len, PAGE);
-        space.protect_all();
-        for (off, wlen, val) in writes {
-            let off = off as usize % len;
-            let wlen = wlen.min(len - off);
-            space.write(BASE + off as u64, &vec![val; wlen]).unwrap();
-        }
-        prop_assert_eq!(diff_pages_parallel(&space, threads), diff_pages(&space));
     }
 }
 

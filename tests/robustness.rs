@@ -50,9 +50,11 @@ fn random_bytes_never_panic_protocol_decode() {
     };
     for len in 0..64usize {
         for kind in MsgKind::ALL {
-            let buf: Vec<u8> = (0..len).map(|_| next()).collect();
-            // Must return Ok or Err — never panic.
-            let _ = DsdMsg::decode(kind, Bytes::from(buf));
+            for replicated in [false, true] {
+                let buf: Vec<u8> = (0..len).map(|_| next()).collect();
+                // Must return Ok or Err — never panic or over-allocate.
+                let _ = DsdMsg::decode_frame(kind, Bytes::from(buf), replicated);
+            }
         }
     }
 }

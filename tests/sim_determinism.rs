@@ -302,3 +302,38 @@ fn multi_session_sim_runs_are_reproducible() {
         assert!(r.is_clean(), "session close leaked home state: {r:?}");
     }
 }
+
+/// A recorder-armed sim run must free its fabric and recorder once the
+/// outcome is dropped: the recorder's time source holds the fabric, so
+/// nothing the fabric owns may hold the recorder strongly.
+#[test]
+fn recorder_armed_sim_run_frees_its_fabric() {
+    let recorder = Recorder::enabled();
+    let weak_recorder = recorder.downgrade();
+    let fabric = std::sync::Mutex::new(None);
+    let n = 8;
+    let pair = &paper_pairs()[2];
+    let outcome = ClusterBuilder::new()
+        .home(pair.home.clone())
+        .worker(pair.home.clone())
+        .worker(pair.remote.clone())
+        .topology(TopologyConfig {
+            fabric: FabricMode::Sim { seed: 7 },
+            ..Default::default()
+        })
+        .obs(recorder)
+        .gthv(jacobi::gthv_def(n))
+        .init(move |g| jacobi::init(g, n, 5))
+        .run(|c, i| {
+            let sim = c.network().sim().expect("sim fabric");
+            *fabric.lock().unwrap() = Some(sim.downgrade());
+            jacobi::run_worker(c, i, n, 2)
+        })
+        .unwrap();
+    assert!(jacobi::verify(&outcome.final_gthv, n, 5, 2));
+    assert!(outcome.obs.is_some());
+    drop(outcome);
+    let fabric = fabric.into_inner().unwrap().expect("worker ran");
+    assert!(fabric.upgrade().is_none(), "sim fabric leaked");
+    assert!(weak_recorder.upgrade().is_none(), "recorder leaked");
+}
