@@ -9,7 +9,9 @@
 //!   with flow arrows linking each send to its receive.
 //! * `results/obs_snapshot.json` — the machine-readable [`ObsSnapshot`].
 //! * `results/critpath.txt` — per-sync-op critical paths from the faulty
-//!   SOR run (straggler rank, slowest shard, retransmits per link).
+//!   SOR run (straggler rank, slowest shard, retransmits per link),
+//!   followed by the lock acquisitions of a small contended-lock run on
+//!   the sim fabric (which rank held the lock each waiter queued behind).
 //! * `results/obs_metrics.prom` — Prometheus text exposition (`--prom`),
 //!   including the per-destination link counters and placement decision
 //!   rows, cross-checked against [`NetStats`] before writing.
@@ -28,8 +30,14 @@
 use hdsm_apps::workload::paper_pairs;
 use hdsm_apps::{jacobi, sor};
 use hdsm_core::cluster::{ClusterBuilder, FaultConfig, TimingConfig, TopologyConfig};
+use hdsm_core::gthv::GthvDef;
+use hdsm_core::LockId;
 use hdsm_net::fault::FaultPlan;
-use hdsm_obs::{chrome_trace, pretty_bundle, Recorder};
+use hdsm_net::{FabricMode, NetConfig};
+use hdsm_obs::{chrome_trace, pretty_bundle, OpKind, Recorder};
+use hdsm_platform::ctype::StructBuilder;
+use hdsm_platform::scalar::ScalarKind;
+use hdsm_platform::spec::PlatformSpec;
 use std::time::Duration;
 
 fn main() {
@@ -194,6 +202,14 @@ fn main() {
         critpath.push_str(&cp.describe(2));
         critpath.push('\n');
     }
+    let (lock_rounds, lock_paths) = contended_lock_paths();
+    critpath.push_str(&format!(
+        "\ncritical paths: 3 workers x {lock_rounds} rounds on lock 0, 1 shard, sim fabric\n\n"
+    ));
+    for cp in lock_paths.iter().filter(|cp| cp.op.kind == OpKind::Lock) {
+        critpath.push_str(&cp.describe(1));
+        critpath.push('\n');
+    }
     std::fs::write(format!("{results}/critpath.txt"), &critpath).expect("write critpath");
     println!("{}", snap2.report());
     println!(
@@ -214,4 +230,53 @@ fn main() {
         snapshot.net_total_bytes,
         snapshot.net_by_dest.len()
     );
+}
+
+/// Three mixed-platform workers contend for one lock on the seeded sim
+/// fabric, bumping a shared counter under it. Returns the round count and
+/// the run's critical paths.
+fn contended_lock_paths() -> (i128, Vec<hdsm_obs::OpCritPath>) {
+    const ROUNDS: i128 = 20;
+    let def = GthvDef::new(
+        StructBuilder::new("G")
+            .array("xs", ScalarKind::Int, 4)
+            .build()
+            .expect("lock struct"),
+    )
+    .expect("valid def");
+    let outcome = ClusterBuilder::new()
+        .gthv(def)
+        .worker(PlatformSpec::linux_x86())
+        .worker(PlatformSpec::solaris_sparc())
+        .worker(PlatformSpec::linux_x86_64())
+        .locks(1)
+        .topology(TopologyConfig {
+            fabric: FabricMode::Sim { seed: 0x10C6 },
+            ..Default::default()
+        })
+        .net(NetConfig::default())
+        .obs(Recorder::enabled())
+        .run(|c, _| {
+            for _ in 0..ROUNDS {
+                c.acquire(LockId::new(0))?;
+                let v = c.read_int(0, 0)?;
+                c.write_int(0, 0, v + 1)?;
+                c.release(LockId::new(0))?;
+            }
+            Ok(())
+        })
+        .expect("contended lock cluster");
+    assert_eq!(
+        outcome.final_gthv.read_int(0, 0).ok(),
+        Some(3 * ROUNDS),
+        "contended lock counter lost an update"
+    );
+    let snap = outcome.obs.expect("recorder was enabled");
+    assert!(
+        snap.critpaths
+            .iter()
+            .any(|cp| cp.op.kind == OpKind::Lock && cp.straggler.is_some()),
+        "critical-path analyzer named no lock holder"
+    );
+    (ROUNDS, snap.critpaths)
 }

@@ -138,7 +138,7 @@ impl OpCritPath {
 
 /// Grouping key: barrier episodes are cluster-wide (origin ignored),
 /// lock acquisitions are per-origin.
-fn group_key(op: &OpCtx) -> Option<(OpKind, u32, u32, u32)> {
+pub(crate) fn group_key(op: &OpCtx) -> Option<(OpKind, u32, u32, u32)> {
     match op.kind {
         OpKind::Barrier => Some((OpKind::Barrier, op.id, op.epoch, 0)),
         OpKind::Lock => Some((OpKind::Lock, op.id, op.epoch, op.origin)),
@@ -147,9 +147,72 @@ fn group_key(op: &OpCtx) -> Option<(OpKind, u32, u32, u32)> {
     }
 }
 
+/// One `LockHold` span in a [`HoldIndex`]. Candidates rank by
+/// `(end, input index)`: the latest-ending holder wins, and among equal
+/// ends the one recorded last in the input.
+#[derive(Clone, Copy)]
+struct Hold {
+    end: u64,
+    idx: usize,
+    rank: u32,
+}
+
+impl Hold {
+    fn key(&self) -> (u64, usize) {
+        (self.end, self.idx)
+    }
+}
+
+/// Every `LockHold` span (`dur_us > 0`) of one lock, sorted by start.
+/// `tops[i]` holds, over the first `i + 1` holds, the best hold and the
+/// best hold of any *other* rank — so "the best hold that started before
+/// `t` and isn't mine" is one binary search plus one comparison.
+struct HoldIndex {
+    starts: Vec<u64>,
+    tops: Vec<(Hold, Option<Hold>)>,
+}
+
+impl HoldIndex {
+    fn build(mut holds: Vec<(u64, Hold)>) -> HoldIndex {
+        holds.sort_by_key(|&(t, _)| t);
+        let mut tops = Vec::with_capacity(holds.len());
+        let mut top: Option<(Hold, Option<Hold>)> = None;
+        for &(_, h) in &holds {
+            top = Some(match top {
+                None => (h, None),
+                Some((a, b)) if h.key() > a.key() => {
+                    (h, if h.rank != a.rank { Some(a) } else { b })
+                }
+                Some((a, b)) if h.rank != a.rank && b.is_none_or(|b| h.key() > b.key()) => {
+                    (a, Some(h))
+                }
+                Some(t) => t,
+            });
+            tops.extend(top);
+        }
+        HoldIndex {
+            starts: holds.iter().map(|&(t, _)| t).collect(),
+            tops,
+        }
+    }
+
+    /// The rank of the latest-ending hold by someone other than `me` that
+    /// overlaps `(lo, hi)`: started before `hi`, ended after `lo`.
+    fn blocker(&self, me: u32, lo: u64, hi: u64) -> Option<u32> {
+        let n = self.starts.partition_point(|&t| t < hi);
+        let (a, b) = self.tops[n.checked_sub(1)?];
+        let h = if a.rank != me { Some(a) } else { b };
+        h.filter(|h| h.end > lo).map(|h| h.rank)
+    }
+}
+
 /// Compute critical paths for every barrier episode and lock
 /// acquisition in `events` (any order). `shards` is the home shard
 /// count (endpoint ranks `0..shards`); results are op-ordered.
+///
+/// Cost is O(E log E) in the event count: the cross-op lookups (lock
+/// holders, lease expiries) go through indexes built once up front,
+/// and every other pass is over one op's own events.
 pub fn analyze(events: &[Event], shards: u32) -> Vec<OpCritPath> {
     let shards = shards.max(1);
     let mut groups: BTreeMap<(OpKind, u32, u32, u32), Vec<&Event>> = BTreeMap::new();
@@ -159,10 +222,30 @@ pub fn analyze(events: &[Event], shards: u32) -> Vec<OpCritPath> {
         }
     }
     // Lease expiries are attributed by time window, not op (the victim's
-    // "current op" at expiry may be stale), so keep them aside.
-    let leases: Vec<&Event> = events
+    // "current op" at expiry may be stale), so keep them aside, sorted.
+    let mut leases: Vec<u64> = events
         .iter()
         .filter(|e| e.kind == EventKind::LeaseExpired)
+        .map(|e| e.t_us)
+        .collect();
+    leases.sort_unstable();
+    // Lock holds, indexed per lock id for the straggler lookup.
+    let mut holds: BTreeMap<u64, Vec<(u64, Hold)>> = BTreeMap::new();
+    for (idx, e) in events.iter().enumerate() {
+        if e.kind == EventKind::LockHold && e.dur_us > 0 {
+            holds.entry(e.arg0).or_default().push((
+                e.t_us,
+                Hold {
+                    end: e.t_us + e.dur_us,
+                    idx,
+                    rank: e.rank,
+                },
+            ));
+        }
+    }
+    let holds: BTreeMap<u64, HoldIndex> = holds
+        .into_iter()
+        .map(|(lock, hs)| (lock, HoldIndex::build(hs)))
         .collect();
     let mut out = Vec::new();
     for ((kind, _, _, _), mut evs) in groups {
@@ -250,18 +333,9 @@ pub fn analyze(events: &[Event], shards: u32) -> Vec<OpCritPath> {
             OpKind::Barrier => last_arrival.map(|e| e.op.origin),
             _ => {
                 let window = (m_arrive.unwrap_or(t0), m_reply.unwrap_or(end));
-                events
-                    .iter()
-                    .filter(|e| {
-                        e.kind == EventKind::LockHold
-                            && e.dur_us > 0
-                            && e.arg0 == top.op.id as u64
-                            && e.rank != me
-                            && e.t_us < window.1
-                            && e.t_us + e.dur_us > window.0
-                    })
-                    .max_by_key(|e| e.t_us + e.dur_us)
-                    .map(|e| e.rank)
+                holds
+                    .get(&(top.op.id as u64))
+                    .and_then(|ix| ix.blocker(me, window.0, window.1))
             }
         };
 
@@ -342,10 +416,8 @@ pub fn analyze(events: &[Event], shards: u32) -> Vec<OpCritPath> {
             .collect();
         links.sort_by_key(|l| std::cmp::Reverse(l.count));
 
-        let lease_expiries = leases
-            .iter()
-            .filter(|e| e.t_us >= t0 && e.t_us <= end)
-            .count() as u64;
+        let lease_expiries =
+            (leases.partition_point(|&t| t <= end) - leases.partition_point(|&t| t < t0)) as u64;
 
         out.push(OpCritPath {
             op: OpCtx {
@@ -371,6 +443,228 @@ pub fn analyze(events: &[Event], shards: u32) -> Vec<OpCritPath> {
 mod tests {
     use super::*;
     use crate::hlc::HlcStamp;
+    use proptest::prelude::*;
+
+    /// The analyzer as first written, kept as the oracle for
+    /// [`analyze`]: the same walk, but every lock acquisition rescans the
+    /// whole stream for overlapping holds and every op rescans every
+    /// lease expiry — O(ops × events).
+    fn analyze_reference(events: &[Event], shards: u32) -> Vec<OpCritPath> {
+        let shards = shards.max(1);
+        let mut groups: BTreeMap<(OpKind, u32, u32, u32), Vec<&Event>> = BTreeMap::new();
+        for e in events {
+            if let Some(k) = group_key(&e.op) {
+                groups.entry(k).or_default().push(e);
+            }
+        }
+        // Lease expiries are attributed by time window, not op (the victim's
+        // "current op" at expiry may be stale), so keep them aside.
+        let leases: Vec<&Event> = events
+            .iter()
+            .filter(|e| e.kind == EventKind::LeaseExpired)
+            .collect();
+        let mut out = Vec::new();
+        for ((kind, _, _, _), mut evs) in groups {
+            evs.sort_by_key(|e| (e.t_us, e.rank));
+            if kind == OpKind::Handoff {
+                // An administrative drain, not a client sync op: the span on
+                // the retiring primary covers fence → snapshot → install, and
+                // the whole stall is attributed to that shard. Client ops
+                // stretched by the drain carry the wait on their own paths.
+                let Some(top) = evs
+                    .iter()
+                    .filter(|e| e.kind == EventKind::Handoff && e.dur_us > 0)
+                    .max_by_key(|e| (e.dur_us, e.t_us))
+                else {
+                    continue;
+                };
+                out.push(OpCritPath {
+                    op: top.op,
+                    latency_us: top.dur_us,
+                    straggler: None,
+                    slowest_shard: Some(top.rank),
+                    shard_busy_us: top.dur_us,
+                    retransmits: 0,
+                    links: Vec::new(),
+                    lease_expiries: 0,
+                    segments: vec![Segment {
+                        label: seg::HANDOFF,
+                        rank: top.rank,
+                        dur_us: top.dur_us,
+                    }],
+                });
+                continue;
+            }
+            let span_kind = match kind {
+                OpKind::Barrier => EventKind::Barrier,
+                OpKind::Lock => EventKind::LockWait,
+                _ => continue,
+            };
+            // The slowest participant's op span defines the latency.
+            let Some(top) = evs
+                .iter()
+                .filter(|e| e.kind == span_kind && e.dur_us > 0)
+                .max_by_key(|e| (e.dur_us, e.t_us))
+            else {
+                continue;
+            };
+            let (t0, end) = (top.t_us, top.t_us + top.dur_us);
+            let me = top.rank;
+
+            let (req_label, reply_label) = match kind {
+                OpKind::Barrier => ("barrier-enter", "barrier-release"),
+                _ => ("lock-req", "lock-grant"),
+            };
+            // Milestones of the slowest client's chain.
+            let m_send = evs
+                .iter()
+                .find(|e| e.kind == EventKind::MsgSend && e.rank == me && e.label == req_label)
+                .map(|e| e.t_us);
+            let last_arrival = evs
+                .iter()
+                .filter(|e| e.kind == EventKind::MsgRecv && e.rank < shards && e.label == req_label)
+                .max_by_key(|e| e.t_us);
+            let m_arrive = last_arrival.map(|e| e.t_us);
+            let reply_send = evs
+                .iter()
+                .filter(|e| {
+                    e.kind == EventKind::MsgSend
+                        && e.rank < shards
+                        && e.label == reply_label
+                        && e.op.origin == top.op.origin
+                })
+                .max_by_key(|e| e.t_us);
+            let m_reply = reply_send.map(|e| e.t_us);
+            let m_recv = evs
+                .iter()
+                .filter(|e| e.kind == EventKind::MsgRecv && e.rank == me && e.label == reply_label)
+                .map(|e| e.t_us)
+                .max();
+
+            // Straggler: for barriers the origin of the last request to reach
+            // the home; for locks, resolved by the caller via LockHold overlap
+            // (we fall back to the last arrival's origin, which for an
+            // uncontended lock is the requester itself — suppress that).
+            let straggler = match kind {
+                OpKind::Barrier => last_arrival.map(|e| e.op.origin),
+                _ => {
+                    let window = (m_arrive.unwrap_or(t0), m_reply.unwrap_or(end));
+                    events
+                        .iter()
+                        .filter(|e| {
+                            e.kind == EventKind::LockHold
+                                && e.dur_us > 0
+                                && e.arg0 == top.op.id as u64
+                                && e.rank != me
+                                && e.t_us < window.1
+                                && e.t_us + e.dur_us > window.0
+                        })
+                        .max_by_key(|e| e.t_us + e.dur_us)
+                        .map(|e| e.rank)
+                }
+            };
+
+            // Clamp milestones monotone inside [t0, end] so segment durations
+            // always sum to the measured latency.
+            let clamp = |m: Option<u64>, lo: u64| m.unwrap_or(lo).clamp(lo, end);
+            let m1 = clamp(m_send, t0);
+            let m2 = clamp(m_arrive, m1);
+            let m3 = clamp(m_reply, m2);
+            let m4 = clamp(m_recv, m3);
+            let coordinator = reply_send
+                .or(last_arrival)
+                .map(|e| e.rank)
+                .unwrap_or(0)
+                .min(shards - 1);
+            let segments = vec![
+                Segment {
+                    label: seg::SEND,
+                    rank: me,
+                    dur_us: m1 - t0,
+                },
+                Segment {
+                    label: seg::WAIT,
+                    rank: straggler.unwrap_or(coordinator),
+                    dur_us: m2 - m1,
+                },
+                Segment {
+                    label: seg::HOME,
+                    rank: coordinator,
+                    dur_us: m3 - m2,
+                },
+                Segment {
+                    label: seg::FLIGHT,
+                    rank: coordinator,
+                    dur_us: m4 - m3,
+                },
+                Segment {
+                    label: seg::APPLY,
+                    rank: me,
+                    dur_us: end - m4,
+                },
+            ];
+
+            // Home-shard busy time: home-side spans attributed to this op.
+            let mut shard_busy: BTreeMap<u32, u64> = BTreeMap::new();
+            for e in &evs {
+                if e.rank < shards && e.dur_us > 0 && e.kind != span_kind {
+                    *shard_busy.entry(e.rank).or_default() += e.dur_us;
+                }
+            }
+            let span_fallback = shard_busy.is_empty();
+            if span_fallback {
+                // Home spans were dropped: attribute by received bytes
+                // instead (the busy-time figure is then unknown, 0).
+                for e in &evs {
+                    if e.rank < shards && e.kind == EventKind::MsgRecv {
+                        *shard_busy.entry(e.rank).or_default() += e.arg0;
+                    }
+                }
+            }
+            let (slowest_shard, shard_busy_us) = shard_busy
+                .iter()
+                .max_by_key(|&(_, &v)| v)
+                .map(|(&s, &v)| (Some(s), if span_fallback { 0 } else { v }))
+                .unwrap_or((None, 0));
+
+            // Retransmits charged to this op, per directed link.
+            let mut link_counts: BTreeMap<(u32, u32), u64> = BTreeMap::new();
+            for e in &evs {
+                if e.kind == EventKind::Retransmit {
+                    *link_counts.entry((e.rank, e.arg1 as u32)).or_default() += 1;
+                }
+            }
+            let retransmits: u64 = link_counts.values().sum();
+            let mut links: Vec<LinkRetransmits> = link_counts
+                .into_iter()
+                .map(|((from, to), count)| LinkRetransmits { from, to, count })
+                .collect();
+            links.sort_by_key(|l| std::cmp::Reverse(l.count));
+
+            let lease_expiries = leases
+                .iter()
+                .filter(|e| e.t_us >= t0 && e.t_us <= end)
+                .count() as u64;
+
+            out.push(OpCritPath {
+                op: OpCtx {
+                    kind,
+                    id: top.op.id,
+                    epoch: top.op.epoch,
+                    origin: me,
+                },
+                latency_us: top.dur_us,
+                straggler,
+                slowest_shard,
+                shard_busy_us,
+                retransmits,
+                links,
+                lease_expiries,
+                segments,
+            });
+        }
+        out
+    }
 
     fn op(kind: OpKind, id: u32, epoch: u32, origin: u32) -> OpCtx {
         OpCtx {
@@ -511,6 +805,120 @@ mod tests {
         let sum: u64 = paths[0].segments.iter().map(|s| s.dur_us).sum();
         assert_eq!(sum, 50);
         assert_eq!(paths[0].straggler, None);
+    }
+
+    /// One random event over a cluster of `shards` home endpoints and
+    /// `ranks` workers using `locks` locks (lock and barrier ids share
+    /// the range). Times and durations are small so ties, overlaps and
+    /// zero-length spans are common.
+    fn arb_event(shards: u32, ranks: u32, locks: u32) -> impl Strategy<Value = Event> {
+        (
+            0u32..11,
+            0u32..shards,
+            shards..shards + ranks,
+            0u64..80,
+            0u64..40,
+            0u32..locks,
+            1u32..=3,
+            any::<bool>(),
+        )
+            .prop_map(move |(sel, shard, worker, t_us, dur_us, id, epoch, flip)| {
+                let lock = op(OpKind::Lock, id, epoch, worker);
+                let barrier = op(OpKind::Barrier, id, epoch, worker);
+                let at = |rank, kind, dur_us, label, o| ev(rank, kind, t_us, dur_us, label, o);
+                // Requests go client → home, replies home → client; `flip`
+                // picks the sending or the receiving end.
+                let msg = |label, o, request: bool| {
+                    let (from, to) = if request {
+                        (worker, shard)
+                    } else {
+                        (shard, worker)
+                    };
+                    if flip {
+                        at(from, EventKind::MsgSend, 0, label, o)
+                    } else {
+                        at(to, EventKind::MsgRecv, 0, label, o)
+                    }
+                };
+                match sel {
+                    0 => at(worker, EventKind::LockWait, dur_us, "", lock),
+                    1 => Event {
+                        arg0: id as u64,
+                        ..at(worker, EventKind::LockHold, dur_us, "", OpCtx::default())
+                    },
+                    2 => msg("lock-req", lock, true),
+                    3 => msg("lock-grant", lock, false),
+                    4 => at(worker, EventKind::Barrier, dur_us, "", barrier),
+                    5 => msg("barrier-enter", barrier, true),
+                    6 => msg("barrier-release", barrier, false),
+                    7 => at(worker, EventKind::LeaseExpired, 0, "", lock),
+                    8 => at(
+                        shard,
+                        EventKind::Handoff,
+                        dur_us,
+                        "",
+                        op(OpKind::Handoff, shard, epoch, 0),
+                    ),
+                    9 => Event {
+                        arg1: shard as u64,
+                        ..at(
+                            worker,
+                            EventKind::Retransmit,
+                            0,
+                            "",
+                            if flip { lock } else { barrier },
+                        )
+                    },
+                    _ => Event {
+                        arg0: dur_us,
+                        ..at(
+                            shard,
+                            EventKind::Convert,
+                            dur_us,
+                            "",
+                            if flip { lock } else { barrier },
+                        )
+                    },
+                }
+            })
+    }
+
+    /// A random stream plus a seed to shuffle it with.
+    fn arb_stream() -> impl Strategy<Value = (u32, Vec<Event>, u64)> {
+        (1u32..=3, 2u32..=5, 1u32..=3).prop_flat_map(|(shards, ranks, locks)| {
+            (
+                Just(shards),
+                prop::collection::vec(arb_event(shards, ranks, locks), 0..160),
+                any::<u64>(),
+            )
+        })
+    }
+
+    /// Fisher–Yates over a splitmix64 stream.
+    fn shuffle(events: &mut [Event], mut seed: u64) {
+        for i in (1..events.len()).rev() {
+            seed = seed.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = seed;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            events.swap(i, ((z ^ (z >> 31)) % (i as u64 + 1)) as usize);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// The indexed analyzer returns exactly what the whole-stream
+        /// oracle returns, in any input order (ties between holds with
+        /// equal end times are broken by input order in both).
+        #[test]
+        fn analyze_matches_the_reference((shards, mut events, seed) in arb_stream()) {
+            prop_assert_eq!(analyze(&events, shards), analyze_reference(&events, shards));
+            shuffle(&mut events, seed);
+            prop_assert_eq!(analyze(&events, shards), analyze_reference(&events, shards));
+            events.reverse();
+            prop_assert_eq!(analyze(&events, shards), analyze_reference(&events, shards));
+        }
     }
 
     #[test]

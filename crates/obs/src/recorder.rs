@@ -250,6 +250,29 @@ impl Recorder {
         clocks[idx].tick(now_us)
     }
 
+    /// Every held event across ranks, sorted by `(t_us, rank)`, plus
+    /// each rank's ring accounting read under the same lock. The sort
+    /// runs after the lock is released.
+    fn merged_events(core: &ObsCore) -> (Vec<Event>, Vec<RingDropRow>) {
+        let rings = core.rings.lock();
+        let drops = rings
+            .iter()
+            .enumerate()
+            .map(|(rank, r)| RingDropRow {
+                rank: rank as u32,
+                recorded: r.total_pushed(),
+                dropped: r.dropped(),
+            })
+            .collect();
+        let mut events: Vec<Event> = rings
+            .iter()
+            .flat_map(|r| r.iter_in_order().copied())
+            .collect();
+        drop(rings);
+        events.sort_by_key(|e| (e.t_us, e.rank));
+        (events, drops)
+    }
+
     /// Merge a remote stamp into `rank`'s HLC (receive event).
     fn hlc_merge(core: &ObsCore, rank: u32, now_us: u64, remote: HlcStamp) -> HlcStamp {
         let mut clocks = core.clocks.lock();
@@ -840,20 +863,13 @@ impl Recorder {
                 },
             );
             let (events, shards) = lazy.get_or_insert_with(|| {
-                let rings = core.rings.lock();
-                let mut events: Vec<Event> = rings
-                    .iter()
-                    .flat_map(|r| r.iter_in_order().copied())
-                    .collect();
-                drop(rings);
-                events.sort_by_key(|e| (e.t_us, e.rank));
                 let shards = core
                     .registry
                     .lock()
                     .gauge_value("cluster.shards")
                     .unwrap_or(1)
                     .max(1) as u32;
-                (events, shards)
+                (Self::merged_events(core).0, shards)
             });
             let critpath = watchdog::attribute(events, f.op, f.rank, f.start_us, age, *shards);
             let report = StallReport {
@@ -1032,18 +1048,10 @@ impl Recorder {
 
     /// Every held event across ranks, time-ordered. Empty when disabled.
     pub fn events(&self) -> Vec<Event> {
-        match &self.0 {
-            None => Vec::new(),
-            Some(core) => {
-                let rings = core.rings.lock();
-                let mut out: Vec<Event> = rings
-                    .iter()
-                    .flat_map(|r| r.iter_in_order().copied())
-                    .collect();
-                out.sort_by_key(|e| (e.t_us, e.rank));
-                out
-            }
-        }
+        self.0
+            .as_ref()
+            .map(|core| Self::merged_events(core).0)
+            .unwrap_or_default()
     }
 
     /// Freeze the current state into a machine-readable snapshot —
@@ -1052,22 +1060,9 @@ impl Recorder {
     /// stream. `None` when disabled.
     pub fn snapshot(&self) -> Option<ObsSnapshot> {
         let core = self.0.as_ref()?;
-        let rings = core.rings.lock();
-        let (mut recorded, mut dropped) = (0u64, 0u64);
-        let mut ring_drops = Vec::new();
-        let mut events: Vec<Event> = Vec::new();
-        for (rank, r) in rings.iter().enumerate() {
-            recorded += r.total_pushed();
-            dropped += r.dropped();
-            ring_drops.push(RingDropRow {
-                rank: rank as u32,
-                recorded: r.total_pushed(),
-                dropped: r.dropped(),
-            });
-            events.extend(r.iter_in_order().copied());
-        }
-        drop(rings);
-        events.sort_by_key(|e| (e.t_us, e.rank));
+        let (events, ring_drops) = Self::merged_events(core);
+        let recorded = ring_drops.iter().map(|r| r.recorded).sum();
+        let dropped = ring_drops.iter().map(|r| r.dropped).sum();
         let registry = core.registry.lock();
         let heatmap = core.heatmap.lock();
         let net = core.net.lock();

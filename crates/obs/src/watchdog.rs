@@ -11,9 +11,10 @@
 //!
 //! A breach fires once per op instance and produces a [`StallReport`]
 //! carrying the critical-path attribution of the stuck op: the analyzer
-//! is run over the recorded event stream plus one *synthetic span* for
-//! the unfinished op (start → now), so the usual milestone walk applies
-//! and the attributed segments sum exactly to the op's measured age.
+//! is run over the stuck op's own recorded events plus one *synthetic
+//! span* for the unfinished op (start → now), so the usual milestone walk
+//! applies and the attributed segments sum exactly to the op's measured
+//! age.
 //! Because the scan runs on fabric-clock tick boundaries inside a
 //! registered sim actor, same-seed simulated runs fire at identical
 //! virtual times with identical attributions.
@@ -146,13 +147,16 @@ fn span_kind(kind: OpKind) -> Option<EventKind> {
     }
 }
 
-/// Attribute a stuck op's age over the recorded event stream: append one
-/// synthetic span (start → start+age) for the unfinished op and run the
-/// standard critical-path analyzer, so milestones already recorded (the
-/// enter send, its arrival at the home, retransmits burned so far) shape
-/// the segments. Kinds the analyzer doesn't walk (cond, join) get a
-/// single straggler-wait segment covering the whole age — either way the
-/// segments sum to `age_us` exactly.
+/// Attribute a stuck op's age over the recorded event stream: take the
+/// op's own group (same key as the analyzer's, so a lock acquisition by
+/// another origin with the same id and epoch never matches), that lock's
+/// holds and the lease expiries, append one synthetic span (start →
+/// start+age) for the unfinished op and run the standard critical-path
+/// analyzer, so milestones already recorded (the enter send, its arrival
+/// at the home, retransmits burned so far) shape the segments. Kinds the
+/// analyzer doesn't walk (cond, join) get a single straggler-wait segment
+/// covering the whole age — either way the segments sum to `age_us`
+/// exactly.
 pub fn attribute(
     events: &[Event],
     op: OpCtx,
@@ -162,7 +166,16 @@ pub fn attribute(
     shards: u32,
 ) -> OpCritPath {
     if let Some(kind) = span_kind(op.kind) {
-        let mut evs: Vec<Event> = events.to_vec();
+        let key = critpath::group_key(&op);
+        let mut evs: Vec<Event> = events
+            .iter()
+            .filter(|e| {
+                critpath::group_key(&e.op) == key
+                    || (e.kind == EventKind::LockHold && e.arg0 == op.id as u64)
+                    || e.kind == EventKind::LeaseExpired
+            })
+            .copied()
+            .collect();
         evs.push(Event {
             rank,
             kind,
@@ -171,12 +184,12 @@ pub fn attribute(
             op,
             ..Default::default()
         });
-        if let Some(p) = critpath::analyze(&evs, shards).into_iter().find(|p| {
-            p.op.kind == op.kind
-                && p.op.id == op.id
-                && p.op.epoch == op.epoch
-                && p.latency_us >= age_us
-        }) {
+        // Holds and leases form no walkable group of their own, so the
+        // stuck op's group is the only candidate.
+        if let Some(p) = critpath::analyze(&evs, shards)
+            .into_iter()
+            .find(|p| p.latency_us >= age_us)
+        {
             return p;
         }
     }
@@ -244,6 +257,53 @@ mod tests {
         let sum: u64 = p.segments.iter().map(|s| s.dur_us).sum();
         assert_eq!(sum, 5_000);
         assert_eq!(p.latency_us, 5_000);
+    }
+
+    #[test]
+    fn lock_attribution_stays_on_the_stuck_origin() {
+        // Lock epochs count per client, so origins 1 and 2 both take lock
+        // 0 at epoch 1. Origin 1's acquisition finished long ago and took
+        // longer than origin 2 has been stuck; the report must still be
+        // about origin 2.
+        let lock = |origin| OpCtx {
+            kind: OpKind::Lock,
+            id: 0,
+            epoch: 1,
+            origin,
+        };
+        let done = lock(1);
+        let events = vec![
+            Event {
+                rank: 1,
+                kind: EventKind::LockWait,
+                t_us: 0,
+                dur_us: 5_000,
+                op: done,
+                ..Default::default()
+            },
+            Event {
+                rank: 1,
+                kind: EventKind::LockHold,
+                t_us: 5_000,
+                dur_us: 3_000,
+                arg0: 0,
+                ..Default::default()
+            },
+            Event {
+                rank: 2,
+                kind: EventKind::MsgSend,
+                t_us: 6_100,
+                label: "lock-req",
+                op: lock(2),
+                ..Default::default()
+            },
+        ];
+        let p = attribute(&events, lock(2), 2, 6_000, 1_000, 1);
+        assert_eq!(p.op.origin, 2);
+        assert_eq!(p.latency_us, 1_000);
+        assert_eq!(p.straggler, Some(1), "origin 1 still holds the lock");
+        let sum: u64 = p.segments.iter().map(|s| s.dur_us).sum();
+        assert_eq!(sum, 1_000);
     }
 
     #[test]

@@ -6,11 +6,16 @@
 use bytes::Bytes;
 use hdsm::apps::sor;
 use hdsm::dsd::cluster::{ClusterBuilder, FaultConfig, TimingConfig, TopologyConfig};
+use hdsm::dsd::{GthvDef, LockId};
 use hdsm::net::endpoint::Network;
 use hdsm::net::message::MsgKind;
 use hdsm::net::stats::NetConfig;
-use hdsm::net::FaultPlan;
-use hdsm::obs::{causal_order, check_happens_before, chrome_trace, EventKind, OpKind, Recorder};
+use hdsm::net::{FabricMode, FaultPlan};
+use hdsm::obs::{
+    causal_order, check_happens_before, chrome_trace, EventKind, OpCritPath, OpKind, Recorder,
+};
+use hdsm::platform::ctype::StructBuilder;
+use hdsm::platform::scalar::ScalarKind;
 use hdsm::platform::spec::PlatformSpec;
 use proptest::prelude::*;
 use std::time::Duration;
@@ -234,4 +239,68 @@ fn faulty_sor_critical_paths_attribute_latency() {
     let report = snap.report();
     assert!(report.contains("critical paths"));
     assert!(report.contains("straggler rank"));
+}
+
+/// Three workers on mixed platforms take one lock `ROUNDS` times each on
+/// the seeded sim fabric, bumping a shared counter under it. Returns the
+/// run's critical paths.
+fn contended_lock_critpaths() -> Vec<OpCritPath> {
+    const ROUNDS: i128 = 50;
+    let def = GthvDef::new(
+        StructBuilder::new("G")
+            .array("xs", ScalarKind::Int, 4)
+            .build()
+            .unwrap(),
+    )
+    .unwrap();
+    let outcome = ClusterBuilder::new()
+        .gthv(def)
+        .worker(PlatformSpec::linux_x86())
+        .worker(PlatformSpec::solaris_sparc())
+        .worker(PlatformSpec::linux_x86_64())
+        .locks(1)
+        .topology(TopologyConfig {
+            fabric: FabricMode::Sim { seed: 0x10C6 },
+            ..Default::default()
+        })
+        // Modelled link latency, so waits take virtual time.
+        .net(NetConfig::default())
+        .obs(Recorder::enabled())
+        .run(|c, _| {
+            for _ in 0..ROUNDS {
+                c.acquire(LockId::new(0))?;
+                let v = c.read_int(0, 0)?;
+                c.write_int(0, 0, v + 1)?;
+                c.release(LockId::new(0))?;
+            }
+            Ok(())
+        })
+        .expect("contended lock cluster");
+    assert_eq!(outcome.final_gthv.read_int(0, 0).unwrap(), 3 * ROUNDS);
+    outcome.obs.expect("recorder was enabled").critpaths
+}
+
+/// Lock acquisitions get the same exact attribution as barriers: every
+/// lock path's segments sum to its latency, contention names a holder
+/// other than the waiter, and the sim fabric makes the whole analysis a
+/// pure function of the seed.
+#[test]
+fn contended_lock_critical_paths_name_the_holder() {
+    let paths = contended_lock_critpaths();
+    let locks: Vec<_> = paths
+        .iter()
+        .filter(|cp| cp.op.kind == OpKind::Lock)
+        .collect();
+    assert_eq!(locks.len(), 3 * 50, "one path per acquisition");
+    for cp in &locks {
+        let sum: u64 = cp.segments.iter().map(|s| s.dur_us).sum();
+        assert_eq!(sum, cp.latency_us, "{}", cp.op);
+    }
+    assert!(
+        locks
+            .iter()
+            .any(|cp| cp.straggler.is_some_and(|r| r != cp.op.origin)),
+        "no contended acquisition named another rank as the holder"
+    );
+    assert_eq!(paths, contended_lock_critpaths(), "same seed, same paths");
 }
